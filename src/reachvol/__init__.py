@@ -10,56 +10,26 @@ capability factors.  Generalizations cover narrow controllable (recovery)
 regions, all-negative spectra, infinite horizons, and continuous time.
 """
 
-from .zonotope import (
-    combination_at_rank,
-    determinant_count,
-    enumerate_subsets,
-    symmetric_volume,
-    unit_cube_volume,
-)
+from .zonotope import determinant_count, symmetric_volume
 from .model import (
-    EPS_COMPLEX,
-    EPS_DISTINCT,
-    EPS_SING,
     EigenStructure,
     SingularFactorError,
-    SpectrumClass,
     SpectrumError,
     StateSpaceModel,
     UnboundedRegionError,
     VolumeDomainError,
-    classify_spectrum,
     diagonalize,
-    load_model,
     narrow_generators,
     reachability_generators,
-    volume_under_transform,
 )
 from .analytic import (
-    DEFAULT_DPS,
-    SubsetTerm,
-    VolumeReport,
     analytic_volume_sum,
-    analytic_volume_sum_grouped,
     analytic_volume_terms,
-    deletion_identity_residual,
-    distribution_factor,
     full_volume,
     infinite_volume_sum,
-    power_factor,
-    quasi_vandermonde,
     recursive_volume_sum,
-    sign_coefficient,
-    substitution_identity_residuals,
 )
-from .factors import (
-    FactorReport,
-    build_factor_report,
-    cross_factor,
-    modal_controllability,
-    shape_factor,
-    side_lengths,
-)
+from .factors import build_factor_report
 from .extensions import (
     ContinuousModel,
     ct_discretized_oracle,
@@ -67,57 +37,36 @@ from .extensions import (
     narrow_via_relation,
     narrow_volume_analytic,
     negative_spectrum_volume,
+    volume,
 )
 
 __version__ = "0.1.0"
 
+# The names the demos and the README use, the exceptions, and volume();
+# everything else is imported from its submodule.
 __all__ = [
-    "EPS_COMPLEX",
-    "EPS_DISTINCT",
-    "EPS_SING",
-    "DEFAULT_DPS",
     "ContinuousModel",
     "EigenStructure",
-    "FactorReport",
     "SingularFactorError",
-    "SpectrumClass",
     "SpectrumError",
     "StateSpaceModel",
-    "SubsetTerm",
     "UnboundedRegionError",
     "VolumeDomainError",
-    "VolumeReport",
     "analytic_volume_sum",
-    "analytic_volume_sum_grouped",
     "analytic_volume_terms",
     "build_factor_report",
-    "classify_spectrum",
-    "combination_at_rank",
-    "cross_factor",
     "ct_discretized_oracle",
     "ct_volume_analytic",
-    "deletion_identity_residual",
     "determinant_count",
     "diagonalize",
-    "distribution_factor",
-    "enumerate_subsets",
     "full_volume",
     "infinite_volume_sum",
-    "load_model",
-    "modal_controllability",
     "narrow_generators",
     "narrow_via_relation",
     "narrow_volume_analytic",
     "negative_spectrum_volume",
-    "power_factor",
-    "quasi_vandermonde",
     "reachability_generators",
     "recursive_volume_sum",
-    "shape_factor",
-    "side_lengths",
-    "sign_coefficient",
-    "substitution_identity_residuals",
     "symmetric_volume",
-    "unit_cube_volume",
-    "volume_under_transform",
+    "volume",
 ]

@@ -12,6 +12,13 @@ the 2^n coordinate/gain prefactor) admits three routes:
   coefficient times a power factor times two distribution factors, with
   cost independent of N.
 
+One private kernel evaluates the expansion for every route that uses it:
+the reachable region (powers lambda^N), the narrow region (lambda^-N) and
+continuous time (exp(lambda T)), which differ only in the power and in
+the pairwise and per-eigenvalue factor formulas.  It builds each subset's
+factors from the subset without its largest member, O(2^n n) in all, and
+returns the terms and their exact total from one pass.
+
 The expansion's terms cancel heavily near the N = n anchor, so subset
 terms are evaluated in arbitrary precision (mpmath, 40 significant digits
 by default) and rounded once on output; the recursion needs no divisions
@@ -108,6 +115,17 @@ def _check_sorted_spectrum(lam):
         raise ValueError("spectrum must be sorted ascending")
 
 
+# Distribution-factor forms: pairwise denominator (the pairwise numerator is
+# always l_k - l_i for i < k), per-eigenvalue denominator, and whether the
+# pairwise product enters by magnitude.  Written once for floats
+# (distribution_factor) and mpmath numbers (the expansion kernel).
+_FACTOR_FORMS = {
+    "discrete_positive": (lambda a, b: 1 - a * b, lambda x: 1 - x, False),
+    "discrete_negative_abs": (lambda a, b: 1 - a * b, lambda x: 1 + x, True),
+    "continuous": (lambda a, b: a + b, lambda x: x, True),
+}
+
+
 def distribution_factor(lambdas, mode="discrete_positive", *, eps_sing=None):
     """Product of pairwise and per-eigenvalue distribution factors.
 
@@ -132,28 +150,24 @@ def distribution_factor(lambdas, mode="discrete_positive", *, eps_sing=None):
     """
     eps = EPS_SING if eps_sing is None else eps_sing
     lam = [float(x) for x in np.asarray(lambdas, dtype=float).ravel()]
-    if mode not in ("discrete_positive", "discrete_negative_abs", "continuous"):
+    if mode not in _FACTOR_FORMS:
         raise ValueError(f"unknown mode {mode!r}")
+    pair_den, self_den, absolute = _FACTOR_FORMS[mode]
     pair = 1.0
     for i in range(len(lam)):
         for k in range(i + 1, len(lam)):
-            if mode == "continuous":
-                den = lam[i] + lam[k]
-            else:
-                den = 1.0 - lam[i] * lam[k]
+            den = pair_den(lam[i], lam[k])
             if abs(den) < eps:
                 raise SingularFactorError(
                     f"pair (lambda_{i + 1}={lam[i]}, lambda_{k + 1}={lam[k]}) "
                     f"makes a pairwise denominator vanish"
                 )
             pair *= (lam[k] - lam[i]) / den
-    if mode in ("discrete_negative_abs", "continuous"):
+    if absolute:
         pair = abs(pair)
     out = pair
     for i, x in enumerate(lam):
-        den = {"discrete_positive": 1.0 - x,
-               "discrete_negative_abs": 1.0 + x,
-               "continuous": x}[mode]
+        den = self_den(x)
         if abs(den) < eps:
             raise SingularFactorError(
                 f"lambda_{i + 1}={x} makes a per-eigenvalue denominator vanish"
@@ -304,59 +318,105 @@ def recursive_volume_sum(lambdas, N, *, eps_distinct=None):
     return prev[full]
 
 
-def _eigen_subsets(n):
-    """All subsets of {1..n} as 1-based tuples, by size then lexicographic."""
+# Expansion modes: distribution-factor form and the per-eigenvalue power
+# at the horizon (N steps, or the time T).
+_EXPANSIONS = {
+    "discrete": ("discrete_positive", lambda x, N: x ** int(N)),
+    "narrow": ("discrete_positive", lambda x, N: x ** -int(N)),
+    "continuous": ("continuous", lambda x, T: mp.exp(mpf(T) * x)),
+}
+
+
+def _subsets(n):
+    """(0-based subset, bitmask) pairs of {0..n-1}, by size then lexicographic."""
     for s in range(n + 1):
-        yield from combinations(range(1, n + 1), s)
+        for sub in combinations(range(n), s):
+            yield sub, sum(1 << j for j in sub)
 
 
-def _mp_phi(lam_mp, sel):
-    """Positive-path distribution factor over `sel` (0-based), in mpmath."""
-    p = mpf(1)
-    for a in range(len(sel)):
-        for b in range(a + 1, len(sel)):
-            den = 1 - lam_mp[sel[a]] * lam_mp[sel[b]]
-            p *= (lam_mp[sel[b]] - lam_mp[sel[a]]) / den
-    for a in sel:
-        p /= 1 - lam_mp[a]
-    return p
+def _subset_tables(lam, horizon, mode):
+    """Sign, power and distribution-factor tables indexed by subset bitmask.
+
+    Each subset extends the prefix without its largest member j:
+    phi(S+j) = phi(S) * prod_{i in S} pair(i, j) / self(j) and
+    ups(S+j) = ups(S) * power(j), so all 2^n entries cost O(2^n n).
+    Values are mpmath numbers at the caller's working precision.
+    """
+    form, power = _EXPANSIONS[mode]
+    pair_den, self_den, absolute = _FACTOR_FORMS[form]
+    n = len(lam)
+    x = [mpf(float(v)) for v in lam]
+    pw = [power(v, horizon) for v in x]
+    selfs = [self_den(v) for v in x]
+    pair = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = (x[j] - x[i]) / pair_den(x[i], x[j])
+            pair[i][j] = abs(p) if absolute else p
+    sign = [1] * (1 << n)
+    ups = [mpf(1)] * (1 << n)
+    phi = [mpf(1)] * (1 << n)
+    for sub, mask in _subsets(n):
+        if not sub:
+            continue
+        j = sub[-1]
+        prev = mask ^ (1 << j)
+        p = phi[prev]
+        for i in sub[:-1]:
+            p *= pair[i][j]
+        phi[mask] = p / selfs[j]
+        ups[mask] = ups[prev] * pw[j]
+        # sign (-1)**((n+1)s - sum of 1-based members) gains (-1)**(n - j)
+        sign[mask] = sign[prev] if (n - j) % 2 == 0 else -sign[prev]
+    return sign, ups, phi
 
 
-def _validate_positive_path(lam, eps_d, eps_s, what):
+def _expand(lam, horizon, mode, dps):
+    """The subset expansion: (terms, total) for a validated ascending spectrum.
+
+    `mode` picks the power and the distribution factors (see _EXPANSIONS).
+    Terms come in size-then-lex order; the total is accumulated exactly in
+    working precision, and both are rounded to float once.
+    """
+    n = len(lam)
+    full = (1 << n) - 1
+    with mp.workdps(dps):
+        sign, ups, phi = _subset_tables(lam, horizon, mode)
+        terms = []
+        total = mpf(0)
+        for sub, mask in _subsets(n):
+            val = sign[mask] * ups[mask] * phi[mask] * phi[full ^ mask]
+            total += val
+            terms.append(SubsetTerm(tuple(j + 1 for j in sub), sign[mask],
+                                    float(ups[mask]), float(phi[mask]),
+                                    float(phi[full ^ mask]), float(val)))
+        return tuple(terms), float(total)
+
+
+def _expansion_input(lambdas, N, eps_distinct, eps_sing, what="the analytic expansion"):
+    """The spectrum as an array, once it meets the expansion's hypotheses and N >= n."""
+    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
+    eps_s = EPS_SING if eps_sing is None else eps_sing
+    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_sorted_spectrum(lam)
     cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
     if cls is not SpectrumClass.ALL_POSITIVE_DISTINCT:
         raise SpectrumError(cls, f"{what} requires 0 < lambda_1 < ... < lambda_n "
                                  f"with no factor denominator near zero")
+    if int(N) < lam.size:
+        raise ValueError(f"N must be >= n={lam.size}, got {N}")
+    return lam
 
 
-def _analytic_terms(lam_arr, N, *, inverse_powers=False, dps=DEFAULT_DPS):
-    """Subset terms of the expansion, evaluated in working precision.
-
-    Returns (terms, total) with terms ordered by size then lexicographic
-    and total the exactly accumulated sum, both rounded to float once.
-    """
-    n = lam_arr.size
-    with mp.workdps(dps):
-        lam_mp = [mpf(float(x)) for x in lam_arr]
-        phis = {}
-        for sub in _eigen_subsets(n):
-            sel = tuple(j - 1 for j in sub)
-            phis[sub] = _mp_phi(lam_mp, sel)
-        terms = []
-        total = mpf(0)
-        exp_n = -int(N) if inverse_powers else int(N)
-        for sub in _eigen_subsets(n):
-            comp = tuple(j for j in range(1, n + 1) if j not in sub)
-            sgn = sign_coefficient(sub, n)
-            ups = mpf(1)
-            for j in sub:
-                ups *= lam_mp[j - 1] ** exp_n
-            val = sgn * ups * phis[sub] * phis[comp]
-            total += val
-            terms.append(SubsetTerm(sub, sgn, float(ups), float(phis[sub]),
-                                    float(phis[comp]), float(val)))
-        return terms, float(total)
+def _expansion_report(eig, lam, horizon, mode, dps, spectrum, warnings=()):
+    """VolumeReport of one kernel evaluation, scaled by eig's prefactor."""
+    terms, total = _expand(lam, horizon, mode, dps)
+    # a discrete sum is a volume; narrow and continuous sums are signed
+    if mode != "discrete" and total < 0.0:
+        warnings = (*warnings, "signed normalized sum is negative; volume is its magnitude")
+    return VolumeReport(volume=eig.volume_prefactor * abs(total), route="analytic",
+                        normalized_sum=total, terms=terms, spectrum=spectrum,
+                        warnings=tuple(warnings))
 
 
 def analytic_volume_sum(lambdas, N, *, eps_distinct=None, eps_sing=None, dps=DEFAULT_DPS):
@@ -373,14 +433,8 @@ def analytic_volume_sum(lambdas, N, *, eps_distinct=None, eps_sing=None, dps=DEF
         Carrying the failing SpectrumClass when a hypothesis does not hold;
         callers may fall back to the recursive or direct route.
     """
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
-    eps_s = EPS_SING if eps_sing is None else eps_sing
-    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    _validate_positive_path(lam, eps_d, eps_s, "the analytic expansion")
-    if int(N) < lam.size:
-        raise ValueError(f"N must be >= n={lam.size}, got {N}")
-    _, total = _analytic_terms(lam, N, dps=dps)
-    return total
+    lam = _expansion_input(lambdas, N, eps_distinct, eps_sing)
+    return _expand(lam, N, "discrete", dps)[1]
 
 
 def analytic_volume_terms(lambdas, N, *, eps_distinct=None, eps_sing=None, dps=DEFAULT_DPS):
@@ -389,14 +443,8 @@ def analytic_volume_terms(lambdas, N, *, eps_distinct=None, eps_sing=None, dps=D
     Returns the 2^n terms in deterministic order (size, then lex); their
     exact sum is the value analytic_volume_sum returns.
     """
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
-    eps_s = EPS_SING if eps_sing is None else eps_sing
-    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    _validate_positive_path(lam, eps_d, eps_s, "the analytic expansion")
-    if int(N) < lam.size:
-        raise ValueError(f"N must be >= n={lam.size}, got {N}")
-    terms, _ = _analytic_terms(lam, N, dps=dps)
-    return terms
+    lam = _expansion_input(lambdas, N, eps_distinct, eps_sing)
+    return list(_expand(lam, N, "discrete", dps)[0])
 
 
 def analytic_volume_sum_grouped(lambdas, N, form="factored", *, eps_distinct=None,
@@ -407,44 +455,33 @@ def analytic_volume_sum_grouped(lambdas, N, form="factored", *, eps_distinct=Non
     complement's; form "factored" pulls the full-spectrum distribution
     factor out and couples subset to complement through the cross factor.
     Both are algebraic rearrangements of :func:`analytic_volume_sum` and
-    exist to cross-check the three printed forms against each other.
+    exist to cross-check the three printed forms against each other; the
+    cross factor is computed here on its own, since it is what the
+    factored form checks.
     """
     if form not in ("complement", "factored"):
         raise ValueError(f"unknown form {form!r}")
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
-    eps_s = EPS_SING if eps_sing is None else eps_sing
-    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    _validate_positive_path(lam, eps_d, eps_s, "the analytic expansion")
+    lam = _expansion_input(lambdas, N, eps_distinct, eps_sing)
     n = lam.size
-    if int(N) < n:
-        raise ValueError(f"N must be >= n={n}, got {N}")
+    full = (1 << n) - 1
     with mp.workdps(dps):
-        lam_mp = [mpf(float(x)) for x in lam]
+        sign, ups, phi = _subset_tables(lam, N, "discrete")
         total = mpf(0)
         if form == "complement":
-            for sub in _eigen_subsets(n):
-                comp = tuple(j for j in range(1, n + 1) if j not in sub)
-                ups = mpf(1)
-                for j in comp:
-                    ups *= lam_mp[j - 1] ** int(N)
-                total += (sign_coefficient(comp, n) * ups
-                          * _mp_phi(lam_mp, tuple(j - 1 for j in sub))
-                          * _mp_phi(lam_mp, tuple(j - 1 for j in comp)))
+            for _, mask in _subsets(n):
+                comp = full ^ mask
+                total += sign[comp] * ups[comp] * phi[mask] * phi[comp]
         else:
-            phi_full = _mp_phi(lam_mp, tuple(range(n)))
-            for sub in _eigen_subsets(n):
-                comp = tuple(j for j in range(1, n + 1) if j not in sub)
-                ups = mpf(1)
-                for j in sub:
-                    ups *= lam_mp[j - 1] ** int(N)
+            x = [mpf(float(v)) for v in lam]
+            for sub, mask in _subsets(n):
                 cross = mpf(1)
                 for j in sub:
-                    for k in comp:
-                        a, b = (j, k) if j < k else (k, j)
-                        cross *= (1 - lam_mp[j - 1] * lam_mp[k - 1]) / (
-                            lam_mp[b - 1] - lam_mp[a - 1])
-                total += sign_coefficient(sub, n) * ups * cross
-            total *= phi_full
+                    for k in range(n):
+                        if not mask >> k & 1:
+                            a, b = (j, k) if j < k else (k, j)
+                            cross *= (1 - x[j] * x[k]) / (x[b] - x[a])
+                total += sign[mask] * ups[mask] * cross
+            total *= phi[full]
         return float(total)
 
 
@@ -462,7 +499,6 @@ def infinite_volume_sum(lambdas, *, eps_sing=None, eps_distinct=None):
     eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_sorted_spectrum(lam)
-    n = lam.size
     if np.max(np.abs(lam)) >= 1.0:
         raise UnboundedRegionError("infinite-time region unbounded")
     cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
@@ -470,13 +506,8 @@ def infinite_volume_sum(lambdas, *, eps_sing=None, eps_distinct=None):
         raise SpectrumError(cls, "infinite-horizon formula needs distinct same-sign eigenvalues")
     if np.any(1.0 - np.abs(lam) < eps_s):
         raise SingularFactorError("an eigenvalue magnitude is within tolerance of 1")
-    out = 1.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            out *= (lam[b] - lam[a]) / (1.0 - lam[a] * lam[b])
-    for x in lam:
-        out /= 1.0 - abs(x)
-    return float(out)
+    mode = "discrete_negative_abs" if lam[0] < 0.0 else "discrete_positive"
+    return float(distribution_factor(lam, mode, eps_sing=eps_s))
 
 
 def deletion_identity_residual(lambdas, *, eps_sing=None):
@@ -625,7 +656,7 @@ def substitution_identity_residuals(lambdas, i, j, *, members=None, eps_sing=Non
     return (r1, r2, r3)
 
 
-def _ensure_eigen(system, eps_distinct, eps_complex):
+def _ensure_eigen(system, eps_distinct=None, eps_complex=None):
     if isinstance(system, EigenStructure):
         return system
     return diagonalize(system, eps_distinct=eps_distinct, eps_complex=eps_complex)
@@ -637,9 +668,9 @@ def _ensure_model(system):
     return system.to_model()
 
 
-def _direct_report(system, N, warnings=()):
-    model = _ensure_model(system)
-    vol = symmetric_volume(reachability_generators(model, N))
+def _direct_report(system, N, warnings=(), generators=reachability_generators):
+    """Exact determinant-sum report over the N generators `generators` builds."""
+    vol = symmetric_volume(generators(_ensure_model(system), N))
     return VolumeReport(volume=vol, route="direct", warnings=tuple(warnings))
 
 
@@ -718,11 +749,8 @@ def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=Non
                             normalized_sum=v, spectrum=cls, warnings=tuple(warnings))
 
     def analytic_report():
-        terms = analytic_volume_terms(work, N, eps_distinct=eps_d, eps_sing=eps_s, dps=dps)
-        v = analytic_volume_sum(work, N, eps_distinct=eps_d, eps_sing=eps_s, dps=dps)
-        return VolumeReport(volume=eig.volume_prefactor * abs(v), route="analytic",
-                            normalized_sum=v, terms=tuple(terms), spectrum=cls,
-                            warnings=tuple(warnings))
+        lam_work = _expansion_input(work, N, eps_d, eps_s)
+        return _expansion_report(eig, lam_work, N, "discrete", dps, cls, warnings)
 
     if route == "recursive":
         if cls is SpectrumClass.MIXED_SIGN:

@@ -15,36 +15,28 @@ import argparse
 import json
 import sys
 import time
-from math import comb, fsum, inf
+from math import inf
 
 import numpy as np
 
 from . import __version__
 from .analytic import (
-    VolumeReport,
     analytic_volume_sum,
     analytic_volume_sum_grouped,
     deletion_identity_residual,
     full_volume,
-    infinite_volume_sum,
     quasi_vandermonde,
     recursive_volume_sum,
     substitution_identity_residuals,
 )
-from .extensions import (
-    ContinuousModel,
-    ct_discretized_oracle,
-    ct_volume_analytic,
-    narrow_via_relation,
-    narrow_volume_analytic,
-    negative_spectrum_volume,
-)
+from .extensions import volume
 from .factors import build_factor_report
 from .model import (
     EigenStructure,
     SpectrumError,
     StateSpaceModel,
     VolumeDomainError,
+    diagonalize,
     load_model,
     narrow_generators,
     reachability_generators,
@@ -151,83 +143,11 @@ def _report_doc(report):
     return doc
 
 
-def _as_model(system):
-    if isinstance(system, EigenStructure):
-        return system.to_model()
-    return system
-
-
-def _eps_kwargs(args):
-    out = {}
-    if args.eps_distinct is not None:
-        out["eps_distinct"] = args.eps_distinct
-    if args.eps_sing is not None:
-        out["eps_sing"] = args.eps_sing
-    return out
-
-
-def _volume_report(args, system):
-    eps = _eps_kwargs(args)
-    mode = args.mode
-    if mode == "continuous":
-        if args.T is None:
-            raise SystemExit(_fail(EXIT_USAGE, "continuous mode needs --T"))
-        model = _as_model(system)
-        cmodel = ContinuousModel(model.A, model.B, args.T)
-        if args.route == "direct":
-            if args.dt is None:
-                raise SystemExit(_fail(
-                    EXIT_USAGE, "direct continuous volumes need an explicit --dt"))
-            vol = ct_discretized_oracle(cmodel, args.dt)
-            return VolumeReport(volume=vol, route="direct")
-        if args.route == "recursive":
-            raise SystemExit(_fail(EXIT_USAGE, "no recursive route in continuous mode"))
-        return ct_volume_analytic(cmodel, **eps)
-
-    if mode == "discrete" and args.N is None:
-        return full_volume(system, None, "auto" if args.route == "direct" else args.route,
-                           **eps)
-    if args.N is None:
-        raise SystemExit(_fail(EXIT_USAGE, f"{mode} mode needs --N"))
-    N = args.N
-
-    if mode == "discrete":
-        return full_volume(system, N, args.route, **eps)
-    if mode == "negative":
-        if args.route == "direct":
-            model = _as_model(system)
-            return VolumeReport(
-                volume=symmetric_volume(reachability_generators(model, N)),
-                route="direct")
-        if args.route == "recursive":
-            rep = full_volume(system, N, "recursive", **eps)
-            return rep
-        return negative_spectrum_volume(system, N, **eps)
-    if mode == "narrow":
-        if args.route == "direct":
-            model = _as_model(system)
-            return VolumeReport(
-                volume=symmetric_volume(narrow_generators(model, N)),
-                route="direct")
-        if args.route == "recursive":
-            vol = narrow_via_relation(_as_model(system), N, "recursive", **eps)
-            return VolumeReport(volume=vol, route="recursive")
-        try:
-            return narrow_volume_analytic(system, N, **eps)
-        except (SpectrumError, VolumeDomainError):
-            if args.route == "analytic":
-                raise
-            model = _as_model(system)
-            return VolumeReport(
-                volume=symmetric_volume(narrow_generators(model, N)),
-                route="direct",
-                warnings=("analytic narrow route refused; used generator oracle",))
-    raise SystemExit(_fail(EXIT_USAGE, f"unknown mode {mode!r}"))
-
-
 def cmd_volume(args):
     system = _load(args.model)
-    report = _volume_report(args, system)
+    horizon = args.T if args.mode == "continuous" else args.N
+    report = volume(system, horizon, args.mode, args.route, dt=args.dt,
+                    eps_distinct=args.eps_distinct, eps_sing=args.eps_sing)
     if args.format == "csv":
         _print_csv(["volume", "normalized_sum"],
                    [[report.volume,
@@ -240,10 +160,7 @@ def cmd_volume(args):
 
 def cmd_factors(args):
     system = _load(args.model)
-    eig = system if isinstance(system, EigenStructure) else None
-    if eig is None:
-        from .model import diagonalize
-        eig = diagonalize(system)
+    eig = system if isinstance(system, EigenStructure) else diagonalize(system)
     if args.mode == "continuous":
         if args.T is None:
             raise SystemExit(_fail(EXIT_USAGE, "continuous mode needs --T"))
@@ -281,24 +198,20 @@ def cmd_sweep(args):
         raise SystemExit(_fail(EXIT_USAGE, "sweep runs over discrete horizons"))
     if args.N is None:
         raise SystemExit(_fail(EXIT_USAGE, "sweep needs --N (inclusive upper end)"))
-    eps = _eps_kwargs(args)
-    model = _as_model(system)
-    n = model.n
+    n = system.n
     if args.N < n:
         raise SystemExit(_fail(EXIT_USAGE,
                                f"empty sweep range: --N {args.N} is below n={n}"))
+    eps = {"eps_distinct": args.eps_distinct, "eps_sing": args.eps_sing}
     phi_inf = None
     if args.mode == "discrete":
         try:
-            rep_inf = full_volume(system, None, "auto", **eps)
-            phi_inf = rep_inf.normalized_sum
+            phi_inf = full_volume(system, None, "auto", **eps).normalized_sum
         except (SpectrumError, VolumeDomainError, ValueError):
             phi_inf = None
     rows = []
     for N in range(n, args.N + 1):
-        ns = argparse.Namespace(**vars(args))
-        ns.N = N
-        report = _volume_report(ns, system)
+        report = volume(system, N, args.mode, args.route, dt=args.dt, **eps)
         vn = report.normalized_sum if report.normalized_sum is not None else float("nan")
         if phi_inf is not None:
             rows.append([N, vn, report.volume, phi_inf, vn - phi_inf])
@@ -324,9 +237,7 @@ def _median_time(fn, trials):
 
 def cmd_bench(args):
     system = _load(args.model)
-    eps = _eps_kwargs(args)
-    model = _as_model(system)
-    from .model import diagonalize
+    model = system.to_model() if isinstance(system, EigenStructure) else system
     eig = diagonalize(model)
     lam = eig.eigenvalues
     n = model.n
@@ -349,9 +260,10 @@ def cmd_bench(args):
             t_direct = _median_time(lambda: symmetric_volume(P), trials)
         else:
             t_direct = float("nan")  # skipped: determinant budget exceeded
-        t_rec = _median_time(lambda: recursive_volume_sum(lam, N, **{
-            k: v for k, v in eps.items() if k == "eps_distinct"}), trials)
-        t_ana = _median_time(lambda: analytic_volume_sum(lam, N, **eps), trials)
+        t_rec = _median_time(lambda: recursive_volume_sum(
+            lam, N, eps_distinct=args.eps_distinct), trials)
+        t_ana = _median_time(lambda: analytic_volume_sum(
+            lam, N, eps_distinct=args.eps_distinct, eps_sing=args.eps_sing), trials)
         rows.append([N, count, t_direct * 1e3, t_rec * 1e3, t_ana * 1e3])
     header = ["N", "det_count", "direct_ms", "recursive_ms", "analytic_ms"]
     if args.format == "json":
@@ -361,7 +273,7 @@ def cmd_bench(args):
     return EXIT_OK
 
 
-def _run_check_suite(seed, trials, eps):
+def _run_check_suite(seed, trials):
     rng = np.random.default_rng(seed)
     results = {}
     failures = []
@@ -448,7 +360,7 @@ def cmd_check(args):
     if trials < 1:
         raise SystemExit(_fail(EXIT_USAGE, "--trials must be >= 1"))
     seed = args.seed if args.seed is not None else 0
-    results, failures = _run_check_suite(seed, trials, _eps_kwargs(args))
+    results, failures = _run_check_suite(seed, trials)
     if args.format == "csv":
         _print_csv(["property", "passes", "total"],
                    [[k, p, t] for k, (p, t) in results.items()])

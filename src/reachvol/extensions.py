@@ -12,45 +12,46 @@ Three generalizations of the reachable-region volume expansion:
   matrix exponential over [0, T], the power factor becomes exp(sum l T),
   and the distribution factor uses pairwise sums and 1/lambda.
 
-Each analytic route here is paired with an independent brute-force check:
-the narrow generators of the model definition, the plain reachability
+All three closed forms are one call each to the subset-expansion kernel of
+:mod:`reachvol.analytic`, which takes the power and the factor formulas
+by mode.  Each is paired with an independent brute-force check: the
+narrow generators of the model definition, the plain reachability
 generators, and a left-endpoint Riemann discretization of the integral
-region, all fed through the exact determinant sum.
+region, all fed through the exact determinant sum.  :func:`volume` is the
+one dispatcher over modes and routes that the CLI calls.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .analytic import (
     DEFAULT_DPS,
-    SubsetTerm,
     VolumeReport,
-    _analytic_terms,
-    _eigen_subsets,
-    _validate_positive_path,
-    analytic_volume_sum,
-    analytic_volume_terms,
+    _direct_report,
+    _ensure_eigen,
+    _ensure_model,
+    _expansion_input,
+    _expansion_report,
     full_volume,
-    sign_coefficient,
 )
 from .model import (
     EPS_DISTINCT,
     EPS_SING,
-    EigenStructure,
     SpectrumClass,
     SpectrumError,
     StateSpaceModel,
     VolumeDomainError,
     classify_spectrum,
     diagonalize,
+    narrow_generators,
 )
 from .zonotope import determinant_count, symmetric_volume
 
 __all__ = [
     "ContinuousModel",
+    "volume",
     "narrow_volume_analytic",
     "negative_spectrum_volume",
     "ct_volume_analytic",
@@ -103,12 +104,6 @@ class ContinuousModel:
         return self.A_c.shape[0]
 
 
-def _ensure_eigen(system, eps_distinct=None, eps_complex=None):
-    if isinstance(system, EigenStructure):
-        return system
-    return diagonalize(system, eps_distinct=eps_distinct, eps_complex=eps_complex)
-
-
 def narrow_volume_analytic(system, N, *, eps_distinct=None, eps_sing=None,
                            dps=DEFAULT_DPS):
     """Volume of the N-step narrow controllable region, closed form.
@@ -125,18 +120,9 @@ def narrow_volume_analytic(system, N, *, eps_distinct=None, eps_sing=None,
     lam = eig.eigenvalues
     if np.any(np.abs(lam) < eps_s):
         raise VolumeDomainError("narrow region needs nonzero eigenvalues")
-    _validate_positive_path(lam, eps_d, eps_s, "the narrow-region expansion")
-    N = int(N)
-    if N < eig.n:
-        raise ValueError(f"N must be >= n={eig.n}, got {N}")
-    terms, total = _analytic_terms(lam, N, inverse_powers=True, dps=dps)
-    warnings = ()
-    if total < 0.0:
-        warnings = ("signed normalized sum is negative; volume is its magnitude",)
+    lam = _expansion_input(lam, int(N), eps_d, eps_s, "the narrow-region expansion")
     cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
-    return VolumeReport(volume=eig.volume_prefactor * abs(total), route="analytic",
-                        normalized_sum=total, terms=tuple(terms), spectrum=cls,
-                        warnings=warnings)
+    return _expansion_report(eig, lam, N, "narrow", dps, cls)
 
 
 def negative_spectrum_volume(system, N, *, eps_distinct=None, eps_sing=None,
@@ -158,16 +144,13 @@ def negative_spectrum_volume(system, N, *, eps_distinct=None, eps_sing=None,
     if not np.all(lam < 0.0):
         cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
         raise SpectrumError(cls, "negative-spectrum route requires lambda_i < 0 for all i")
-    work = np.sort(np.abs(lam))
     N = int(N)
     if N < eig.n:
         raise ValueError(f"N must be >= n={eig.n}, got {N}")
-    terms = analytic_volume_terms(work, N, eps_distinct=eps_d, eps_sing=eps_s, dps=dps)
-    total = analytic_volume_sum(work, N, eps_distinct=eps_d, eps_sing=eps_s, dps=dps)
-    return VolumeReport(volume=eig.volume_prefactor * abs(total), route="analytic",
-                        normalized_sum=total, terms=tuple(terms),
-                        spectrum=SpectrumClass.ALL_NEGATIVE_DISTINCT,
-                        warnings=("evaluated on |lambda| sorted ascending",))
+    work = _expansion_input(np.sort(np.abs(lam)), N, eps_d, eps_s)
+    return _expansion_report(eig, work, N, "discrete", dps,
+                             SpectrumClass.ALL_NEGATIVE_DISTINCT,
+                             ("evaluated on |lambda| sorted ascending",))
 
 
 def _ct_validate(lam, eps_d, eps_s):
@@ -185,57 +168,24 @@ def _ct_validate(lam, eps_d, eps_s):
 def ct_volume_analytic(model, *, eps_distinct=None, eps_sing=None, dps=DEFAULT_DPS):
     """Volume of the time-T continuous-time reachable region, closed form.
 
-    Subset expansion with power factor exp(sum_subset lambda T) and the
-    continuous distribution factor (absolute pairwise couplings over the
-    pairwise sums, per-eigenvalue 1/lambda).  The signed sum's magnitude is
-    reported as the volume.  The absolute-value placement in the pairwise
-    factor makes the expansion track the integral region exactly when all
-    eigenvalues are negative; a warning is attached otherwise.
+    Subset expansion with power factor prod exp(lambda T) over the subset
+    (each factor in working precision) and the continuous distribution
+    factor (absolute pairwise couplings over the pairwise sums,
+    per-eigenvalue 1/lambda).  The signed sum's magnitude is reported as
+    the volume.  The absolute-value placement in the pairwise factor makes
+    the expansion track the integral region exactly when all eigenvalues
+    are negative; a warning is attached otherwise.
     """
     eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
     eps_s = EPS_SING if eps_sing is None else eps_sing
-    sys_model = StateSpaceModel(model.A_c, model.B_c)
-    eig = diagonalize(sys_model, eps_distinct=eps_d)
+    eig = diagonalize(StateSpaceModel(model.A_c, model.B_c), eps_distinct=eps_d)
     lam = eig.eigenvalues
     cls = _ct_validate(lam, eps_d, eps_s)
-    n = eig.n
-    T = model.T
-    warnings = []
+    warnings = ()
     if not np.all(lam < 0.0):
-        warnings.append("spectrum is not strictly stable; the closed form is "
-                        "exact only for all-negative spectra")
-    with mp.workdps(dps):
-        lam_mp = [mpf(float(x)) for x in lam]
-
-        def phi_ct(sel):
-            p = mpf(1)
-            for a in range(len(sel)):
-                for b in range(a + 1, len(sel)):
-                    p *= (lam_mp[sel[b]] - lam_mp[sel[a]]) / (
-                        lam_mp[sel[a]] + lam_mp[sel[b]])
-            p = abs(p)
-            for a in sel:
-                p /= lam_mp[a]
-            return p
-
-        phis = {sub: phi_ct(tuple(j - 1 for j in sub)) for sub in _eigen_subsets(n)}
-        total = mpf(0)
-        terms = []
-        for sub in _eigen_subsets(n):
-            comp = tuple(j for j in range(1, n + 1) if j not in sub)
-            sgn = sign_coefficient(sub, n)
-            ups = mp.e ** (mpf(T) * math.fsum(float(lam[j - 1]) for j in sub)) \
-                if sub else mpf(1)
-            val = sgn * ups * phis[sub] * phis[comp]
-            total += val
-            terms.append(SubsetTerm(sub, sgn, float(ups), float(phis[sub]),
-                                    float(phis[comp]), float(val)))
-        total_f = float(total)
-    if total_f < 0.0:
-        warnings.append("signed normalized sum is negative; volume is its magnitude")
-    return VolumeReport(volume=eig.volume_prefactor * abs(total_f), route="analytic",
-                        normalized_sum=total_f, terms=tuple(terms), spectrum=cls,
-                        warnings=tuple(warnings))
+        warnings = ("spectrum is not strictly stable; the closed form is "
+                    "exact only for all-negative spectra",)
+    return _expansion_report(eig, lam, model.T, "continuous", dps, cls, warnings)
 
 
 def ct_discretized_oracle(model, dt, *, max_terms=20_000_000, eps_distinct=None):
@@ -293,3 +243,69 @@ def narrow_via_relation(model, N, route="auto", *, eps_distinct=None, eps_sing=N
     report = full_volume(inverse_model, N, route, eps_distinct=eps_distinct,
                          eps_sing=eps_sing)
     return report.volume / abs(det)
+
+
+def volume(system, horizon, mode="discrete", route="auto", *, dt=None,
+           eps_distinct=None, eps_sing=None):
+    """Volume of one region, by mode and route: the dispatcher behind the CLI.
+
+    Parameters
+    ----------
+    system : StateSpaceModel or EigenStructure
+    horizon : steps N (None: infinite horizon, discrete mode only), or the
+        time T in continuous mode
+    mode : {"discrete", "narrow", "negative", "continuous"}
+        reachable region, narrow controllable region, reachable region of
+        an all-negative spectrum, continuous-time reachable region
+    route : {"auto", "direct", "recursive", "analytic"}
+        "auto" takes the closed form when its hypotheses hold; narrow
+        falls back to the generator oracle, discrete as :func:`full_volume`.
+        Continuous time has no recursion; its direct route is the Riemann
+        oracle with step `dt`.
+
+    Raises ValueError for a missing horizon or dt and for a route the mode
+    does not have.
+    """
+    if route not in ("auto", "direct", "recursive", "analytic"):
+        raise ValueError(f"unknown route {route!r}")
+    eps = {"eps_distinct": eps_distinct, "eps_sing": eps_sing}
+    if mode == "continuous":
+        if horizon is None:
+            raise ValueError("continuous mode needs --T")
+        model = _ensure_model(system)
+        cmodel = ContinuousModel(model.A, model.B, horizon)
+        if route == "direct":
+            if dt is None:
+                raise ValueError("direct continuous volumes need an explicit --dt")
+            return VolumeReport(volume=ct_discretized_oracle(cmodel, dt), route="direct")
+        if route == "recursive":
+            raise ValueError("no recursive route in continuous mode")
+        return ct_volume_analytic(cmodel, **eps)
+    if mode not in ("discrete", "narrow", "negative"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if horizon is None:
+        if mode != "discrete":
+            raise ValueError(f"{mode} mode needs --N")
+        # the infinite horizon has no direct route; auto answers it
+        return full_volume(system, None, "auto" if route == "direct" else route, **eps)
+    N = horizon
+    if mode == "discrete":
+        return full_volume(system, N, route, **eps)
+    if mode == "negative":
+        if route == "direct":
+            return _direct_report(system, N)
+        if route == "recursive":
+            return full_volume(system, N, "recursive", **eps)
+        return negative_spectrum_volume(system, N, **eps)
+    if route == "direct":
+        return _direct_report(system, N, generators=narrow_generators)
+    if route == "recursive":
+        vol = narrow_via_relation(_ensure_model(system), N, "recursive", **eps)
+        return VolumeReport(volume=vol, route="recursive")
+    try:
+        return narrow_volume_analytic(system, N, **eps)
+    except (SpectrumError, VolumeDomainError):
+        if route == "analytic":
+            raise
+        return _direct_report(system, N, ("analytic narrow route refused; "
+                                          "used generator oracle",), narrow_generators)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachvol.analytic import (
+    SubsetTerm,
     analytic_volume_sum,
     analytic_volume_sum_grouped,
     analytic_volume_terms,
@@ -22,6 +23,7 @@ from reachvol.analytic import (
     sign_coefficient,
     substitution_identity_residuals,
 )
+from reachvol.extensions import ContinuousModel, ct_volume_analytic
 from reachvol.model import (
     EigenStructure,
     SingularFactorError,
@@ -477,3 +479,42 @@ class TestFullVolume:
             a = full_volume(model, N, "analytic").volume
             assert r == pytest.approx(d, rel=1e-9)
             assert a == pytest.approx(d, rel=1e-9)
+
+
+class TestTermFactors:
+    """Each term's factors against the float definitions, not only sums of terms."""
+
+    @staticmethod
+    def check_terms(terms, lam, horizon, dist_mode, power_mode):
+        n = len(lam)
+        assert len(terms) == 2 ** n
+        for t in terms:
+            assert isinstance(t, SubsetTerm)
+            comp = tuple(j for j in range(1, n + 1) if j not in t.subset)
+            sub_lam = [lam[j - 1] for j in t.subset]
+            comp_lam = [lam[j - 1] for j in comp]
+            assert t.sign == sign_coefficient(t.subset, n)
+            assert t.power == pytest.approx(power_factor(sub_lam, horizon, power_mode),
+                                            rel=1e-13, abs=0.0)
+            assert t.dist_in == pytest.approx(distribution_factor(sub_lam, dist_mode),
+                                              rel=1e-13, abs=0.0)
+            assert t.dist_out == pytest.approx(distribution_factor(comp_lam, dist_mode),
+                                               rel=1e-13, abs=0.0)
+
+    def test_discrete_terms(self):
+        rng = np.random.default_rng(61)
+        for _ in range(12):
+            n = int(rng.integers(1, 9))
+            lam = random_spectrum(rng, n)
+            N = int(rng.integers(n, 3 * n + 2))
+            terms = full_volume(EigenStructure.from_spectrum(lam), N, "analytic").terms
+            self.check_terms(terms, lam, N, "discrete_positive", "discrete")
+
+    def test_continuous_terms(self):
+        rng = np.random.default_rng(62)
+        for _ in range(12):
+            n = int(rng.integers(1, 9))
+            lam = -random_spectrum(rng, n, 0.2, 3.0, 0.05)[::-1]
+            T = float(rng.uniform(0.1, 4.0))
+            rep = ct_volume_analytic(ContinuousModel.from_spectrum(lam, np.ones(n), T))
+            self.check_terms(rep.terms, lam, T, "continuous", "continuous")

@@ -270,3 +270,190 @@ class TestUsageErrors:
         code, _, err = run(capsys, "volume", "--model", "/nonexistent.json",
                            "--N", "2")
         assert code == 1
+
+
+# Dispatcher decisions per (model, mode, route, horizon): exit code, the
+# route the report names, and its warnings.  Horizons: N5 = --N 5,
+# N2 = --N 2 (below n = 3), - = none, T = --T 1.0, T,dt = --T 1.0 --dt 0.1.
+DISPATCH_MODELS = {"positive": [0.3, 0.6, 0.9], "negative": [-0.9, -0.6, -0.3],
+                   "reciprocal": [0.5, 0.7, 2.0]}
+DISPATCH_HORIZONS = {"N5": ["--N", "5"], "N2": ["--N", "2"], "-": [],
+                     "T": ["--T", "1.0"], "T,dt": ["--T", "1.0", "--dt", "0.1"]}
+DISPATCH_WARNINGS = {
+    "FLAT": "N < n: flat region, volume 0",
+    "NEG_MODULI": "all-negative spectrum: evaluated on |lambda| sorted ascending",
+    "MODULI": "evaluated on |lambda| sorted ascending",
+    "UNSTABLE": "spectrum is not strictly stable; the closed form is exact only "
+                "for all-negative spectra",
+    "SIGNED": "signed normalized sum is negative; volume is its magnitude",
+    "NARROW_ORACLE": "analytic narrow route refused; used generator oracle",
+    "RECURSION": "analytic route refused (NearSingularFactor); used recursion",
+}
+DISPATCH_TABLE = """
+positive   discrete   auto      N5    0  analytic  -
+positive   discrete   auto      N2    0  analytic  FLAT
+positive   discrete   auto      -     0  infinite  -
+positive   discrete   direct    N5    0  direct    -
+positive   discrete   direct    N2    0  direct    -
+positive   discrete   direct    -     0  infinite  -
+positive   discrete   recursive N5    0  recursive -
+positive   discrete   recursive N2    0  recursive FLAT
+positive   discrete   recursive -     1  -         -
+positive   discrete   analytic  N5    0  analytic  -
+positive   discrete   analytic  N2    0  analytic  FLAT
+positive   discrete   analytic  -     0  infinite  -
+positive   narrow     auto      N5    0  analytic  -
+positive   narrow     auto      N2    1  -         -
+positive   narrow     auto      -     1  -         -
+positive   narrow     direct    N5    0  direct    -
+positive   narrow     direct    N2    0  direct    -
+positive   narrow     direct    -     1  -         -
+positive   narrow     recursive N5    0  recursive -
+positive   narrow     recursive N2    0  recursive -
+positive   narrow     recursive -     1  -         -
+positive   narrow     analytic  N5    0  analytic  -
+positive   narrow     analytic  N2    1  -         -
+positive   narrow     analytic  -     1  -         -
+positive   negative   auto      N5    2  -         -
+positive   negative   auto      N2    2  -         -
+positive   negative   auto      -     1  -         -
+positive   negative   direct    N5    0  direct    -
+positive   negative   direct    N2    0  direct    -
+positive   negative   direct    -     1  -         -
+positive   negative   recursive N5    0  recursive -
+positive   negative   recursive N2    0  recursive FLAT
+positive   negative   recursive -     1  -         -
+positive   negative   analytic  N5    2  -         -
+positive   negative   analytic  N2    2  -         -
+positive   negative   analytic  -     1  -         -
+positive   continuous auto      T     0  analytic  UNSTABLE
+positive   continuous auto      T,dt  0  analytic  UNSTABLE
+positive   continuous direct    T     1  -         -
+positive   continuous direct    T,dt  0  direct    -
+positive   continuous recursive T     1  -         -
+positive   continuous recursive T,dt  1  -         -
+positive   continuous analytic  T     0  analytic  UNSTABLE
+positive   continuous analytic  T,dt  0  analytic  UNSTABLE
+negative   discrete   auto      N5    0  analytic  NEG_MODULI
+negative   discrete   auto      N2    0  analytic  FLAT
+negative   discrete   auto      -     0  infinite  -
+negative   discrete   direct    N5    0  direct    -
+negative   discrete   direct    N2    0  direct    -
+negative   discrete   direct    -     0  infinite  -
+negative   discrete   recursive N5    0  recursive NEG_MODULI
+negative   discrete   recursive N2    0  recursive FLAT
+negative   discrete   recursive -     1  -         -
+negative   discrete   analytic  N5    0  analytic  NEG_MODULI
+negative   discrete   analytic  N2    0  analytic  FLAT
+negative   discrete   analytic  -     0  infinite  -
+negative   narrow     auto      N5    0  direct    NARROW_ORACLE
+negative   narrow     auto      N2    0  direct    NARROW_ORACLE
+negative   narrow     auto      -     1  -         -
+negative   narrow     direct    N5    0  direct    -
+negative   narrow     direct    N2    0  direct    -
+negative   narrow     direct    -     1  -         -
+negative   narrow     recursive N5    0  recursive -
+negative   narrow     recursive N2    0  recursive -
+negative   narrow     recursive -     1  -         -
+negative   narrow     analytic  N5    2  -         -
+negative   narrow     analytic  N2    2  -         -
+negative   narrow     analytic  -     1  -         -
+negative   negative   auto      N5    0  analytic  MODULI
+negative   negative   auto      N2    1  -         -
+negative   negative   auto      -     1  -         -
+negative   negative   direct    N5    0  direct    -
+negative   negative   direct    N2    0  direct    -
+negative   negative   direct    -     1  -         -
+negative   negative   recursive N5    0  recursive NEG_MODULI
+negative   negative   recursive N2    0  recursive FLAT
+negative   negative   recursive -     1  -         -
+negative   negative   analytic  N5    0  analytic  MODULI
+negative   negative   analytic  N2    1  -         -
+negative   negative   analytic  -     1  -         -
+negative   continuous auto      T     0  analytic  SIGNED
+negative   continuous auto      T,dt  0  analytic  SIGNED
+negative   continuous direct    T     1  -         -
+negative   continuous direct    T,dt  0  direct    -
+negative   continuous recursive T     1  -         -
+negative   continuous recursive T,dt  1  -         -
+negative   continuous analytic  T     0  analytic  SIGNED
+negative   continuous analytic  T,dt  0  analytic  SIGNED
+reciprocal discrete   auto      N5    0  recursive RECURSION
+reciprocal discrete   auto      N2    0  analytic  FLAT
+reciprocal discrete   auto      -     2  -         -
+reciprocal discrete   direct    N5    0  direct    -
+reciprocal discrete   direct    N2    0  direct    -
+reciprocal discrete   direct    -     2  -         -
+reciprocal discrete   recursive N5    0  recursive -
+reciprocal discrete   recursive N2    0  recursive FLAT
+reciprocal discrete   recursive -     1  -         -
+reciprocal discrete   analytic  N5    2  -         -
+reciprocal discrete   analytic  N2    0  analytic  FLAT
+reciprocal discrete   analytic  -     2  -         -
+reciprocal narrow     auto      N5    0  direct    NARROW_ORACLE
+reciprocal narrow     auto      N2    0  direct    NARROW_ORACLE
+reciprocal narrow     auto      -     1  -         -
+reciprocal narrow     direct    N5    0  direct    -
+reciprocal narrow     direct    N2    0  direct    -
+reciprocal narrow     direct    -     1  -         -
+reciprocal narrow     recursive N5    0  recursive -
+reciprocal narrow     recursive N2    0  recursive -
+reciprocal narrow     recursive -     1  -         -
+reciprocal narrow     analytic  N5    2  -         -
+reciprocal narrow     analytic  N2    2  -         -
+reciprocal narrow     analytic  -     1  -         -
+reciprocal negative   auto      N5    2  -         -
+reciprocal negative   auto      N2    2  -         -
+reciprocal negative   auto      -     1  -         -
+reciprocal negative   direct    N5    0  direct    -
+reciprocal negative   direct    N2    0  direct    -
+reciprocal negative   direct    -     1  -         -
+reciprocal negative   recursive N5    0  recursive -
+reciprocal negative   recursive N2    0  recursive FLAT
+reciprocal negative   recursive -     1  -         -
+reciprocal negative   analytic  N5    2  -         -
+reciprocal negative   analytic  N2    2  -         -
+reciprocal negative   analytic  -     1  -         -
+reciprocal continuous auto      T     0  analytic  UNSTABLE
+reciprocal continuous auto      T,dt  0  analytic  UNSTABLE
+reciprocal continuous direct    T     1  -         -
+reciprocal continuous direct    T,dt  0  direct    -
+reciprocal continuous recursive T     1  -         -
+reciprocal continuous recursive T,dt  1  -         -
+reciprocal continuous analytic  T     0  analytic  UNSTABLE
+reciprocal continuous analytic  T,dt  0  analytic  UNSTABLE
+"""
+
+
+def _dispatch_cells():
+    for line in DISPATCH_TABLE.strip().splitlines():
+        model, mode, route, horizon, code, *rest = line.split()
+        got_route = None if rest[0] == "-" else rest[0]
+        warns = [] if rest[1:] in ([], ["-"]) else [
+            DISPATCH_WARNINGS[w] for w in rest[1].split(",")]
+        yield pytest.param(model, mode, route, horizon, int(code), got_route, warns,
+                           id=f"{model}-{mode}-{route}-{horizon}")
+
+
+class TestDispatchMatrix:
+    def test_matrix_covers_every_cell(self):
+        cells = {(c.values[0], c.values[1], c.values[2], c.values[3])
+                 for c in _dispatch_cells()}
+        assert len(cells) == 3 * (3 * 4 * 3 + 4 * 2)
+
+    @pytest.mark.parametrize("model,mode,route,horizon,code,got_route,warnings",
+                             list(_dispatch_cells()))
+    def test_cell(self, capsys, tmp_path, model, mode, route, horizon, code, got_route,
+                  warnings):
+        path = tmp_path / f"{model}.json"
+        path.write_text(json.dumps({"lambda": DISPATCH_MODELS[model], "beta": [1.0] * 3}))
+        rc, out, err = run(capsys, "volume", "--model", str(path), "--mode", mode,
+                           "--route", route, *DISPATCH_HORIZONS[horizon])
+        assert rc == code, err
+        if code == 0:
+            doc = json.loads(out)
+            assert doc["route"] == got_route
+            assert doc["warnings"] == warnings
+        else:
+            assert out == ""
+            assert err.startswith("reachvol: ")

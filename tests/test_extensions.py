@@ -1,9 +1,11 @@
 """Narrow regions, negative spectra, and continuous time."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from reachvol.analytic import full_volume, infinite_volume_sum
 from reachvol.extensions import (
@@ -150,6 +152,37 @@ class TestContinuousTime:
         model = ContinuousModel.from_spectrum([-0.5, 0.5], [1.0, 1.0], 1.0)
         with pytest.raises(SpectrumError):
             ct_volume_analytic(model)
+
+    def test_heavy_cancellation_matches_120_digit_sum(self):
+        # terms cancel by about 1e12 here: every power factor exp(T * sum)
+        # must be formed in working precision, not from a double exponent
+        lam = np.sort(-np.linspace(0.2, 3.0, 8))
+        T = 2.8
+        rep = ct_volume_analytic(ContinuousModel.from_spectrum(lam, np.ones(8), T))
+        n = lam.size
+        with mp.workdps(120):
+            x = [mpf(float(v)) for v in lam]
+
+            def phi(sel):
+                p = mpf(1)
+                for a, b in combinations(sel, 2):
+                    p *= (x[b] - x[a]) / (x[a] + x[b])
+                p = abs(p)
+                for a in sel:
+                    p /= x[a]
+                return p
+
+            total = magnitude = mpf(0)
+            for s in range(n + 1):
+                for sub in combinations(range(n), s):
+                    comp = tuple(j for j in range(n) if j not in sub)
+                    sign = (-1) ** ((n + 1) * s - sum(j + 1 for j in sub))
+                    term = sign * mp.exp(T * sum(x[j] for j in sub)) * phi(sub) * phi(comp)
+                    total += term
+                    magnitude += abs(term)
+            assert magnitude / abs(total) > 1e11
+            ref = float(total)
+        assert rep.normalized_sum == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestCtDiscretizedOracle:
