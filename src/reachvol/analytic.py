@@ -23,10 +23,18 @@ The expansion's terms cancel heavily near the N = n anchor, so subset
 terms are evaluated in arbitrary precision (mpmath, 40 significant digits
 by default) and rounded once on output; the recursion needs no divisions
 and runs in ordinary doubles.
+
+The recursion is vectorized over subset bitmasks.  Index tables built once
+per n hold one row per (mask, term): the mask's previous value, then one
+signed power times the value of the mask without member i, members in
+ascending order.  A step is one gather and one np.bincount, which adds a
+mask's rows in table order, so each sum rounds exactly as the scalar loop
+over masks and members did and the result is bit-identical to it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -245,12 +253,35 @@ def quasi_vandermonde(lambdas, exponents):
     return float(np.linalg.det(M))
 
 
-def _vandermonde_product(lam):
-    p = 1.0
-    for a in range(len(lam)):
-        for b in range(a + 1, len(lam)):
-            p *= lam[b] - lam[a]
-    return p
+@lru_cache(maxsize=8)
+def _recursion_tables(n):
+    """Index tables of the deletion recursion over the 2^n subset bitmasks.
+
+    Rows: one per (mask, term), mask-major, each naming its target mask,
+    its source mask and its column in a signed power table whose columns
+    are lambda_i^k, then -lambda_i^k, then 1.  A mask's first row is the
+    mask itself (power column 2n, the 1); then comes one row per member i
+    ascending, with the mask without i as source and column i or n + i by
+    the sign (-1)**(|mask| + pos) of the member's 1-based position pos.
+    Also, per step k <= n, the masks of size k (seeded) and of size > k
+    (zeroed), and per pair a < b in lexicographic order the masks holding
+    both.  Depends on n only, so it is cached.
+    """
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    size = bits.sum(axis=1)
+    odd = (size[:, None] + np.cumsum(bits, axis=1)) % 2
+    # table column 0 is the mask itself, column 1 + i its member i
+    dst, c = np.nonzero(np.column_stack([np.ones(1 << n, dtype=bool), bits == 1]))
+    src = dst ^ np.r_[0, 1 << np.arange(n)][c]
+    col = np.column_stack([np.full(1 << n, 2 * n), np.arange(n) + n * odd])[dst, c]
+    layers = [(np.flatnonzero(size == k), np.flatnonzero(size > k)) for k in range(n + 1)]
+    pairs = [(a, b, np.flatnonzero(bits[:, a] & bits[:, b]))
+             for a in range(n) for b in range(a + 1, n)]
+    for arr in (dst, src, col, *(x for layer in layers for x in layer),
+                *(idx for _, _, idx in pairs)):
+        arr.setflags(write=False)
+    return dst, src, col, layers, pairs
 
 
 def recursive_volume_sum(lambdas, N, *, eps_distinct=None):
@@ -262,6 +293,16 @@ def recursive_volume_sum(lambdas, N, *, eps_distinct=None):
     each eigenvalue, a signed power times the sum over the spectrum with
     that eigenvalue deleted, so the table runs over all non-empty
     sub-spectra (bitmask-keyed).
+
+    Each step is one gather and one ordered scatter-add over the row
+    tables of :func:`_recursion_tables`: a mask's value starts from its
+    previous value and adds, member by member in ascending order, the
+    signed power lambda_i^(k-1) times the value of the mask without i.
+    np.bincount adds the rows of one mask in the order given, so every
+    sum rounds exactly as a scalar loop over masks and members would, and
+    the result is bit-identical to it.  Powers come from repeated
+    multiplication, and each seed multiplies its pairwise differences in
+    lexicographic pair order, as the scalar Vandermonde product does.
 
     The recursion is division-free, hence usable where the closed-form
     expansion has (removable) singular factors, e.g. eigenvalues at 1 or
@@ -288,34 +329,31 @@ def recursive_volume_sum(lambdas, N, *, eps_distinct=None):
     N = int(N)
     if N < n:
         raise ValueError(f"N must be >= n={n}, got {N}")
-    lam = [float(x) for x in lam_arr]
 
-    full = (1 << n) - 1
-    masks = list(range(1, full + 1))
-    members = {m: [i for i in range(n) if m >> i & 1] for m in masks}
-    seed = {m: _vandermonde_product([lam[i] for i in members[m]]) for m in masks}
+    dst, src, col, layers, pairs = _recursion_tables(n)
+    # seeds: Vandermonde products, pairs (a, b) in lexicographic order
+    seed = np.ones(1 << n)
+    for a, b, both in pairs:
+        seed[both] *= lam_arr[b] - lam_arr[a]
+    # pows[k, i] = lambda_i ** k by repeated multiplication (cumprod is a
+    # sequential accumulate); negation is exact, so a signed column times
+    # a value rounds as the scalar loop's +-(power * value)
+    pows = np.ones((N, n))
+    pows[1:] = lam_arr
+    np.cumprod(pows, axis=0, out=pows)
+    pows = np.column_stack([pows, -pows, np.ones(N)])
     # empty spectrum contributes the constant 1 (empty determinant)
-    prev = {0: 1.0}
-    pows = [1.0] * n  # lambda_i ** (k-1) at step k
+    prev = np.zeros(1 << n)
+    prev[0] = 1.0
     for k in range(1, N + 1):
-        cur = {0: 1.0}
-        for m in masks:
-            mem = members[m]
-            sz = len(mem)
-            if sz > k:
-                continue
-            if sz == k:
-                cur[m] = seed[m]
-            else:
-                acc = prev[m]
-                for pos, i in enumerate(mem, start=1):
-                    term = pows[i] * prev[m & ~(1 << i)]
-                    acc += term if (sz + pos) % 2 == 0 else -term
-                cur[m] = acc
-        for i in range(n):
-            pows[i] *= lam[i]
+        cur = np.bincount(dst, weights=pows[k - 1].take(col) * prev.take(src),
+                          minlength=1 << n)
+        if k <= n:
+            seeded, beyond = layers[k]
+            cur[seeded] = seed[seeded]
+            cur[beyond] = 0.0
         prev = cur
-    return prev[full]
+    return float(prev[-1])
 
 
 # Expansion modes: distribution-factor form and the per-eigenvalue power
@@ -674,6 +712,14 @@ def _direct_report(system, N, warnings=(), generators=reachability_generators):
     return VolumeReport(volume=vol, route="direct", warnings=tuple(warnings))
 
 
+def _flat_report(route, spectrum=None):
+    """Report of a horizon below the dimension: fewer generators than
+    dimensions span a flat region, whatever the spectrum."""
+    return VolumeReport(volume=0.0, route=route if route != "auto" else "analytic",
+                        normalized_sum=0.0, spectrum=spectrum,
+                        warnings=("N < n: flat region, volume 0",))
+
+
 def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=None,
                 eps_complex=None, dps=DEFAULT_DPS):
     """Volume of the N-step (or infinite-horizon) reachable region.
@@ -733,10 +779,7 @@ def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=Non
     cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
 
     if N < n:
-        # fewer generators than dimensions: the region is flat
-        return VolumeReport(volume=0.0, route=route if route != "auto" else "analytic",
-                            normalized_sum=0.0, spectrum=cls,
-                            warnings=("N < n: flat region, volume 0",))
+        return _flat_report(route, cls)
 
     negative = bool(np.all(lam < 0.0))
     work = np.sort(np.abs(lam)) if negative else lam

@@ -34,6 +34,7 @@ from .analytic import (
     _ensure_model,
     _expansion_input,
     _expansion_report,
+    _flat_report,
     full_volume,
 )
 from .model import (
@@ -261,7 +262,12 @@ def volume(system, horizon, mode="discrete", route="auto", *, dt=None,
         "auto" takes the closed form when its hypotheses hold; narrow
         falls back to the generator oracle, discrete as :func:`full_volume`.
         Continuous time has no recursion; its direct route is the Riemann
-        oracle with step `dt`.
+        oracle with step `dt`, which "auto" also takes for a spectrum that
+        is not all negative (the closed form's value is not the region's
+        volume there); without `dt` it raises SpectrumError.
+
+    A horizon 1 <= N < n spans a flat region: "auto" and "analytic" report
+    volume 0 in every discrete-time mode, before any spectrum check.
 
     Raises ValueError for a missing horizon or dt and for a route the mode
     does not have.
@@ -280,6 +286,18 @@ def volume(system, horizon, mode="discrete", route="auto", *, dt=None,
             return VolumeReport(volume=ct_discretized_oracle(cmodel, dt), route="direct")
         if route == "recursive":
             raise ValueError("no recursive route in continuous mode")
+        if route == "auto":
+            cls = classify_spectrum(np.linalg.eigvals(cmodel.A_c), "continuous", **eps)
+            if cls in (SpectrumClass.ALL_POSITIVE_DISTINCT, SpectrumClass.MIXED_SIGN):
+                # the closed form answers here, but not with the region's volume
+                if dt is None:
+                    raise SpectrumError(cls, "the continuous-time closed form needs an "
+                                             "all-negative spectrum; a step --dt selects "
+                                             "the Riemann oracle")
+                return VolumeReport(volume=ct_discretized_oracle(cmodel, dt), route="direct",
+                                    warnings=(f"spectrum class {cls}: the closed form needs "
+                                              f"an all-negative spectrum; used the Riemann "
+                                              f"oracle",))
         return ct_volume_analytic(cmodel, **eps)
     if mode not in ("discrete", "narrow", "negative"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -291,6 +309,8 @@ def volume(system, horizon, mode="discrete", route="auto", *, dt=None,
     N = horizon
     if mode == "discrete":
         return full_volume(system, N, route, **eps)
+    if route in ("auto", "analytic") and 1 <= int(N) < system.n:
+        return _flat_report(route)
     if mode == "negative":
         if route == "direct":
             return _direct_report(system, N)

@@ -1,7 +1,7 @@
 """Volume sums: expansion, recursion, identities, and route dispatch."""
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -41,6 +41,70 @@ def power_matrix_volume(lam, N):
     """Independent oracle: exact determinant sum over the power matrix."""
     lam = np.asarray(lam, float)
     return unit_cube_volume(lam[:, None] ** np.arange(int(N))[None, :])
+
+
+def _scalar_recursion(lam, N):
+    """Reference deletion recursion: a scalar loop over masks and members.
+
+    Each mask starts from its previous value and adds, for each member i
+    ascending, +-lambda_i^(k-1) times the value of the mask without i;
+    seeds are Vandermonde products multiplied in lexicographic pair order.
+    """
+    lam = [float(x) for x in lam]
+    n = len(lam)
+    full = (1 << n) - 1
+    masks = list(range(1, full + 1))
+    members = {m: [i for i in range(n) if m >> i & 1] for m in masks}
+    seed = {}
+    for m in masks:
+        p = 1.0
+        for a, b in combinations(members[m], 2):
+            p *= lam[b] - lam[a]
+        seed[m] = p
+    prev = {0: 1.0}
+    pows = [1.0] * n  # lambda_i ** (k-1) at step k
+    for k in range(1, N + 1):
+        cur = {0: 1.0}
+        for m in masks:
+            mem = members[m]
+            sz = len(mem)
+            if sz > k:
+                continue
+            if sz == k:
+                cur[m] = seed[m]
+            else:
+                acc = prev[m]
+                for pos, i in enumerate(mem, start=1):
+                    term = pows[i] * prev[m & ~(1 << i)]
+                    acc += term if (sz + pos) % 2 == 0 else -term
+                cur[m] = acc
+        for i in range(n):
+            pows[i] *= lam[i]
+        prev = cur
+    return prev[full]
+
+
+@st.composite
+def recursion_cases(draw):
+    """(spectrum, N) for the recursion: an integrator, a reciprocal pair, or
+    stable modes 0.025 apart beside an integrator, n = 1..10.  N runs from n
+    to 600, its upper end shrinking as 2^-n so the scalar reference stays
+    cheap (N <= 32 at n = 10); N = n and n + 1 reset the seed layers."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["integrator", "reciprocal", "close"]))
+    if kind == "reciprocal":
+        n = max(n, 2)
+    start = draw(st.floats(0.05, 0.2))
+    gap = 0.025 if kind == "close" else draw(st.floats(0.06, 0.07))
+    stable = start + gap * np.arange(n - 2 if kind == "reciprocal" else n - 1)
+    if kind == "reciprocal":
+        a = draw(st.floats(0.8, 0.92))
+        lam = np.r_[stable, a, 1.0 / a]
+    else:
+        lam = np.r_[stable, 1.0]
+    top = min(600, max(n + 1, (1 << 15) >> n))
+    N = draw(st.one_of(st.just(n), st.just(n + 1), st.integers(n, top)))
+    return lam, N
 
 
 def phi_ref(lam):
@@ -208,6 +272,12 @@ class TestRecursiveVolumeSum:
     def test_requires_N_at_least_n(self):
         with pytest.raises(ValueError):
             recursive_volume_sum([0.2, 0.5], 1)
+
+    @given(recursion_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_scalar_loop(self, case):
+        lam, N = case
+        assert recursive_volume_sum(lam, N) == _scalar_recursion(lam, N)
 
 
 class TestAnalyticVolumeSum:

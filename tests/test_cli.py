@@ -288,6 +288,8 @@ DISPATCH_WARNINGS = {
     "SIGNED": "signed normalized sum is negative; volume is its magnitude",
     "NARROW_ORACLE": "analytic narrow route refused; used generator oracle",
     "RECURSION": "analytic route refused (NearSingularFactor); used recursion",
+    "CT_ORACLE": "spectrum class AllPositiveDistinct: the closed form needs an "
+                 "all-negative spectrum; used the Riemann oracle",
 }
 DISPATCH_TABLE = """
 positive   discrete   auto      N5    0  analytic  -
@@ -303,7 +305,7 @@ positive   discrete   analytic  N5    0  analytic  -
 positive   discrete   analytic  N2    0  analytic  FLAT
 positive   discrete   analytic  -     0  infinite  -
 positive   narrow     auto      N5    0  analytic  -
-positive   narrow     auto      N2    1  -         -
+positive   narrow     auto      N2    0  analytic  FLAT
 positive   narrow     auto      -     1  -         -
 positive   narrow     direct    N5    0  direct    -
 positive   narrow     direct    N2    0  direct    -
@@ -312,10 +314,10 @@ positive   narrow     recursive N5    0  recursive -
 positive   narrow     recursive N2    0  recursive -
 positive   narrow     recursive -     1  -         -
 positive   narrow     analytic  N5    0  analytic  -
-positive   narrow     analytic  N2    1  -         -
+positive   narrow     analytic  N2    0  analytic  FLAT
 positive   narrow     analytic  -     1  -         -
 positive   negative   auto      N5    2  -         -
-positive   negative   auto      N2    2  -         -
+positive   negative   auto      N2    0  analytic  FLAT
 positive   negative   auto      -     1  -         -
 positive   negative   direct    N5    0  direct    -
 positive   negative   direct    N2    0  direct    -
@@ -324,10 +326,10 @@ positive   negative   recursive N5    0  recursive -
 positive   negative   recursive N2    0  recursive FLAT
 positive   negative   recursive -     1  -         -
 positive   negative   analytic  N5    2  -         -
-positive   negative   analytic  N2    2  -         -
+positive   negative   analytic  N2    0  analytic  FLAT
 positive   negative   analytic  -     1  -         -
-positive   continuous auto      T     0  analytic  UNSTABLE
-positive   continuous auto      T,dt  0  analytic  UNSTABLE
+positive   continuous auto      T     2  -         -
+positive   continuous auto      T,dt  0  direct    CT_ORACLE
 positive   continuous direct    T     1  -         -
 positive   continuous direct    T,dt  0  direct    -
 positive   continuous recursive T     1  -         -
@@ -347,7 +349,7 @@ negative   discrete   analytic  N5    0  analytic  NEG_MODULI
 negative   discrete   analytic  N2    0  analytic  FLAT
 negative   discrete   analytic  -     0  infinite  -
 negative   narrow     auto      N5    0  direct    NARROW_ORACLE
-negative   narrow     auto      N2    0  direct    NARROW_ORACLE
+negative   narrow     auto      N2    0  analytic  FLAT
 negative   narrow     auto      -     1  -         -
 negative   narrow     direct    N5    0  direct    -
 negative   narrow     direct    N2    0  direct    -
@@ -356,10 +358,10 @@ negative   narrow     recursive N5    0  recursive -
 negative   narrow     recursive N2    0  recursive -
 negative   narrow     recursive -     1  -         -
 negative   narrow     analytic  N5    2  -         -
-negative   narrow     analytic  N2    2  -         -
+negative   narrow     analytic  N2    0  analytic  FLAT
 negative   narrow     analytic  -     1  -         -
 negative   negative   auto      N5    0  analytic  MODULI
-negative   negative   auto      N2    1  -         -
+negative   negative   auto      N2    0  analytic  FLAT
 negative   negative   auto      -     1  -         -
 negative   negative   direct    N5    0  direct    -
 negative   negative   direct    N2    0  direct    -
@@ -368,7 +370,7 @@ negative   negative   recursive N5    0  recursive NEG_MODULI
 negative   negative   recursive N2    0  recursive FLAT
 negative   negative   recursive -     1  -         -
 negative   negative   analytic  N5    0  analytic  MODULI
-negative   negative   analytic  N2    1  -         -
+negative   negative   analytic  N2    0  analytic  FLAT
 negative   negative   analytic  -     1  -         -
 negative   continuous auto      T     0  analytic  SIGNED
 negative   continuous auto      T,dt  0  analytic  SIGNED
@@ -391,7 +393,7 @@ reciprocal discrete   analytic  N5    2  -         -
 reciprocal discrete   analytic  N2    0  analytic  FLAT
 reciprocal discrete   analytic  -     2  -         -
 reciprocal narrow     auto      N5    0  direct    NARROW_ORACLE
-reciprocal narrow     auto      N2    0  direct    NARROW_ORACLE
+reciprocal narrow     auto      N2    0  analytic  FLAT
 reciprocal narrow     auto      -     1  -         -
 reciprocal narrow     direct    N5    0  direct    -
 reciprocal narrow     direct    N2    0  direct    -
@@ -400,10 +402,10 @@ reciprocal narrow     recursive N5    0  recursive -
 reciprocal narrow     recursive N2    0  recursive -
 reciprocal narrow     recursive -     1  -         -
 reciprocal narrow     analytic  N5    2  -         -
-reciprocal narrow     analytic  N2    2  -         -
+reciprocal narrow     analytic  N2    0  analytic  FLAT
 reciprocal narrow     analytic  -     1  -         -
 reciprocal negative   auto      N5    2  -         -
-reciprocal negative   auto      N2    2  -         -
+reciprocal negative   auto      N2    0  analytic  FLAT
 reciprocal negative   auto      -     1  -         -
 reciprocal negative   direct    N5    0  direct    -
 reciprocal negative   direct    N2    0  direct    -
@@ -412,10 +414,10 @@ reciprocal negative   recursive N5    0  recursive -
 reciprocal negative   recursive N2    0  recursive FLAT
 reciprocal negative   recursive -     1  -         -
 reciprocal negative   analytic  N5    2  -         -
-reciprocal negative   analytic  N2    2  -         -
+reciprocal negative   analytic  N2    0  analytic  FLAT
 reciprocal negative   analytic  -     1  -         -
-reciprocal continuous auto      T     0  analytic  UNSTABLE
-reciprocal continuous auto      T,dt  0  analytic  UNSTABLE
+reciprocal continuous auto      T     2  -         -
+reciprocal continuous auto      T,dt  0  direct    CT_ORACLE
 reciprocal continuous direct    T     1  -         -
 reciprocal continuous direct    T,dt  0  direct    -
 reciprocal continuous recursive T     1  -         -

@@ -15,6 +15,7 @@ from reachvol.extensions import (
     narrow_via_relation,
     narrow_volume_analytic,
     negative_spectrum_volume,
+    volume,
 )
 from reachvol.model import (
     EigenStructure,
@@ -183,6 +184,38 @@ class TestContinuousTime:
             assert magnitude / abs(total) > 1e11
             ref = float(total)
         assert rep.normalized_sum == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+class TestVolumeDispatcher:
+    # lambda = 0.3, 0.4: the continuous closed form gives 279.96 here, while
+    # the Riemann oracle converges to about 11.01 (11.0078 at dt = 1e-3,
+    # 11.0097 at dt = 5e-4)
+    UNSTABLE = StateSpaceModel(np.array([[0.0, 1.0], [-0.12, 0.7]]), np.array([[0.0], [1.0]]))
+
+    def test_continuous_auto_refuses_closed_form_off_negative_spectrum(self):
+        with pytest.raises(SpectrumError, match="all-negative"):
+            volume(self.UNSTABLE, 2.0, "continuous")
+
+    def test_continuous_auto_takes_oracle_with_dt(self):
+        rep = volume(self.UNSTABLE, 2.0, "continuous", dt=1e-3)
+        assert rep.route == "direct"
+        assert any("all-negative" in w for w in rep.warnings)
+        cmodel = ContinuousModel(self.UNSTABLE.A, self.UNSTABLE.B, 2.0)
+        assert rep.volume == ct_discretized_oracle(cmodel, 1e-3)
+        assert rep.volume == pytest.approx(11.01, rel=1e-3)
+        # the analytic route still answers, with its warning, far off
+        analytic = volume(self.UNSTABLE, 2.0, "continuous", "analytic")
+        assert any("stable" in w for w in analytic.warnings)
+        assert analytic.volume > 20.0 * rep.volume
+
+    @pytest.mark.parametrize("mode", ["narrow", "negative"])
+    @pytest.mark.parametrize("route", ["auto", "analytic"])
+    def test_horizon_below_dimension_is_flat(self, mode, route):
+        # whatever the spectrum: neither is all negative, (0.5, 2) is reciprocal
+        for lam in ([0.3, 0.6, 0.9], [0.5, 0.7, 2.0]):
+            rep = volume(EigenStructure.from_spectrum(lam), 2, mode, route)
+            assert (rep.volume, rep.route) == (0.0, "analytic")
+            assert rep.warnings == ("N < n: flat region, volume 0",)
 
 
 class TestCtDiscretizedOracle:
