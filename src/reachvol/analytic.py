@@ -20,9 +20,9 @@ factors from the subset without its largest member, O(2^n n) in all, and
 returns the terms and their exact total from one pass.
 
 The expansion's terms cancel heavily near the N = n anchor, so subset
-terms are evaluated in arbitrary precision (mpmath, 40 significant digits
-by default) and rounded once on output; the recursion needs no divisions
-and runs in ordinary doubles.
+terms are evaluated in arbitrary precision (mpmath, a fixed 40 significant
+digits, DEFAULT_DPS) and rounded once on output; the recursion needs no
+divisions and runs in ordinary doubles.
 
 The recursion is vectorized over subset bitmasks.  Index tables built once
 per n hold one row per (mask, term): the mask's previous value, then one
@@ -409,7 +409,7 @@ def _subset_tables(lam, horizon, mode):
     return sign, ups, phi
 
 
-def _expand(lam, horizon, mode, dps):
+def _expand(lam, horizon, mode):
     """The subset expansion: (terms, total) for a validated ascending spectrum.
 
     `mode` picks the power and the distribution factors (see _EXPANSIONS).
@@ -418,7 +418,7 @@ def _expand(lam, horizon, mode, dps):
     """
     n = len(lam)
     full = (1 << n) - 1
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         sign, ups, phi = _subset_tables(lam, horizon, mode)
         terms = []
         total = mpf(0)
@@ -446,9 +446,9 @@ def _expansion_input(lambdas, N, eps_distinct, eps_sing, what="the analytic expa
     return lam
 
 
-def _expansion_report(eig, lam, horizon, mode, dps, spectrum, warnings=()):
+def _expansion_report(eig, lam, horizon, mode, spectrum, warnings=()):
     """VolumeReport of one kernel evaluation, scaled by eig's prefactor."""
-    terms, total = _expand(lam, horizon, mode, dps)
+    terms, total = _expand(lam, horizon, mode)
     # a discrete sum is a volume; narrow and continuous sums are signed
     if mode != "discrete" and total < 0.0:
         warnings = (*warnings, "signed normalized sum is negative; volume is its magnitude")
@@ -457,7 +457,7 @@ def _expansion_report(eig, lam, horizon, mode, dps, spectrum, warnings=()):
                         warnings=tuple(warnings))
 
 
-def analytic_volume_sum(lambdas, N, *, eps_distinct=None, eps_sing=None, dps=DEFAULT_DPS):
+def analytic_volume_sum(lambdas, N, *, eps_distinct=None, eps_sing=None):
     """Normalized volume sum V_N by the closed-form subset expansion.
 
     Sums, over all 2^n subsets of the spectrum, sign * power * dist_in *
@@ -472,21 +472,21 @@ def analytic_volume_sum(lambdas, N, *, eps_distinct=None, eps_sing=None, dps=DEF
         callers may fall back to the recursive or direct route.
     """
     lam = _expansion_input(lambdas, N, eps_distinct, eps_sing)
-    return _expand(lam, N, "discrete", dps)[1]
+    return _expand(lam, N, "discrete")[1]
 
 
-def analytic_volume_terms(lambdas, N, *, eps_distinct=None, eps_sing=None, dps=DEFAULT_DPS):
+def analytic_volume_terms(lambdas, N, *, eps_distinct=None, eps_sing=None):
     """Subset-term breakdown of :func:`analytic_volume_sum`.
 
     Returns the 2^n terms in deterministic order (size, then lex); their
     exact sum is the value analytic_volume_sum returns.
     """
     lam = _expansion_input(lambdas, N, eps_distinct, eps_sing)
-    return list(_expand(lam, N, "discrete", dps)[0])
+    return list(_expand(lam, N, "discrete")[0])
 
 
 def analytic_volume_sum_grouped(lambdas, N, form="factored", *, eps_distinct=None,
-                                eps_sing=None, dps=DEFAULT_DPS):
+                                eps_sing=None):
     """V_N via the regrouped prints of the expansion.
 
     form "complement" swaps each subset's sign and power factor for the
@@ -502,7 +502,7 @@ def analytic_volume_sum_grouped(lambdas, N, form="factored", *, eps_distinct=Non
     lam = _expansion_input(lambdas, N, eps_distinct, eps_sing)
     n = lam.size
     full = (1 << n) - 1
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         sign, ups, phi = _subset_tables(lam, N, "discrete")
         total = mpf(0)
         if form == "complement":
@@ -548,6 +548,10 @@ def infinite_volume_sum(lambdas, *, eps_sing=None, eps_distinct=None):
     return float(distribution_factor(lam, mode, eps_sing=eps_s))
 
 
+def _phi_float(vals, eps):
+    return distribution_factor(vals, "discrete_positive", eps_sing=eps)
+
+
 def deletion_identity_residual(lambdas, *, eps_sing=None):
     """Left-minus-right residual of the one-eigenvalue-deletion identity.
 
@@ -562,22 +566,14 @@ def deletion_identity_residual(lambdas, *, eps_sing=None):
     n = len(lam)
     if n < 1:
         raise ValueError("need at least one eigenvalue")
-
-    def phi(vals):
-        return distribution_factor(vals, "discrete_positive", eps_sing=eps)
-
     ups_full = math.prod(lam)
-    lhs = (1.0 - ups_full) * phi(lam)
+    lhs = (1.0 - ups_full) * _phi_float(lam, eps)
     rhs_terms = []
     for k in range(1, n + 1):
         rest = lam[:k - 1] + lam[k:]
         ups = math.prod(rest) if rest else 1.0
-        rhs_terms.append((1.0 if (1 + k) % 2 == 0 else -1.0) * ups * phi(rest))
+        rhs_terms.append((1.0 if (1 + k) % 2 == 0 else -1.0) * ups * _phi_float(rest, eps))
     return lhs - math.fsum(rhs_terms)
-
-
-def _phi_float(vals, eps):
-    return distribution_factor(vals, "discrete_positive", eps_sing=eps)
 
 
 def substitution_identity_residuals(lambdas, i, j, *, members=None, eps_sing=None):
@@ -694,10 +690,10 @@ def substitution_identity_residuals(lambdas, i, j, *, members=None, eps_sing=Non
     return (r1, r2, r3)
 
 
-def _ensure_eigen(system, eps_distinct=None, eps_complex=None):
+def _ensure_eigen(system, eps_distinct=None):
     if isinstance(system, EigenStructure):
         return system
-    return diagonalize(system, eps_distinct=eps_distinct, eps_complex=eps_complex)
+    return diagonalize(system, eps_distinct=eps_distinct)
 
 
 def _ensure_model(system):
@@ -720,8 +716,7 @@ def _flat_report(route, spectrum=None):
                         warnings=("N < n: flat region, volume 0",))
 
 
-def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=None,
-                eps_complex=None, dps=DEFAULT_DPS):
+def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=None):
     """Volume of the N-step (or infinite-horizon) reachable region.
 
     Parameters
@@ -745,13 +740,12 @@ def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=Non
         raise ValueError(f"unknown route {route!r}")
     eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
     eps_s = EPS_SING if eps_sing is None else eps_sing
-    eps_c = eps_complex
 
     infinite = N is None or (isinstance(N, float) and math.isinf(N))
     if infinite:
         if route in ("direct", "recursive"):
             raise ValueError(f"route {route!r} cannot evaluate an infinite horizon")
-        eig = _ensure_eigen(system, eps_d, eps_c)
+        eig = _ensure_eigen(system, eps_d)
         lam = eig.eigenvalues
         cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
         phi = infinite_volume_sum(lam, eps_sing=eps_s, eps_distinct=eps_d)
@@ -767,7 +761,7 @@ def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=Non
 
     warnings = []
     try:
-        eig = _ensure_eigen(system, eps_d, eps_c)
+        eig = _ensure_eigen(system, eps_d)
     except (SpectrumError, ValueError) as exc:
         if route == "auto":
             warnings.append(f"eigenvalue routes unavailable ({exc}); used direct route")
@@ -793,7 +787,7 @@ def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=Non
 
     def analytic_report():
         lam_work = _expansion_input(work, N, eps_d, eps_s)
-        return _expansion_report(eig, lam_work, N, "discrete", dps, cls, warnings)
+        return _expansion_report(eig, lam_work, N, "discrete", cls, warnings)
 
     if route == "recursive":
         if cls is SpectrumClass.MIXED_SIGN:

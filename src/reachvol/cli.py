@@ -211,7 +211,7 @@ def cmd_sweep(args):
             phi_inf = None
     rows = []
     for N in range(n, args.N + 1):
-        report = volume(system, N, args.mode, args.route, dt=args.dt, **eps)
+        report = volume(system, N, args.mode, args.route, **eps)
         vn = report.normalized_sum if report.normalized_sum is not None else float("nan")
         if phi_inf is not None:
             rows.append([N, vn, report.volume, phi_inf, vn - phi_inf])
@@ -377,38 +377,44 @@ def cmd_check(args):
     return EXIT_OK
 
 
+# Every flag a subcommand can take: option string and add_argument keywords.
+_FLAGS = {
+    "--model": dict(required=True, help="JSON model file"),
+    "--N": dict(type=int, help="discrete horizon (steps)"),
+    "--T": dict(type=float, help="continuous horizon (time)"),
+    "--dt": dict(type=float, help="discretization step for the continuous direct route"),
+    "--route": dict(choices=["auto", "direct", "recursive", "analytic"], default="auto"),
+    "--mode": dict(choices=["discrete", "narrow", "negative", "continuous"],
+                   default="discrete"),
+    "--format": dict(choices=["json", "csv"]),
+    "--seed": dict(type=int),
+    "--trials": dict(type=int),
+    "--eps-distinct": dict(type=float),
+    "--eps-sing": dict(type=float),
+}
+
+# Per subcommand: its default output format and the flags its handler reads.
+_COMMANDS = {
+    "volume": ("json", "--model --N --T --dt --route --mode --format --eps-distinct --eps-sing"),
+    "factors": ("json", "--model --N --T --mode --format --eps-sing"),
+    "sweep": ("csv", "--model --N --route --mode --format --eps-distinct --eps-sing"),
+    "bench": ("csv", "--model --N --trials --format --eps-distinct --eps-sing"),
+    "check": ("json", "--seed --trials --format"),
+}
+
+
 def _build_parser():
     parser = _Parser(prog="reachvol",
                      description="Volumes of bounded-input reachable and "
                                  "controllable regions of linear systems.")
     parser.add_argument("--version", action="version", version=f"reachvol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, model_required=True):
-        if model_required:
-            p.add_argument("--model", required=True, help="JSON model file")
-        p.add_argument("--N", type=int, default=None, help="discrete horizon (steps)")
-        p.add_argument("--T", type=float, default=None, help="continuous horizon (time)")
-        p.add_argument("--dt", type=float, default=None,
-                       help="discretization step for the continuous direct route")
-        p.add_argument("--route", choices=["auto", "direct", "recursive", "analytic"],
-                       default="auto")
-        p.add_argument("--mode", choices=["discrete", "narrow", "negative", "continuous"],
-                       default="discrete")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--eps-distinct", dest="eps_distinct", type=float, default=None)
-        p.add_argument("--eps-sing", dest="eps_sing", type=float, default=None)
-
-    for name, default_fmt in (("volume", "json"), ("factors", "json"),
-                              ("sweep", "csv"), ("bench", "csv")):
-        p = sub.add_parser(name)
-        common(p)
+    for name, (default_fmt, flags) in _COMMANDS.items():
+        # no prefix matching: "bench --mode" must not be read as "--model"
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(default_format=default_fmt)
-    p = sub.add_parser("check")
-    common(p, model_required=False)
-    p.set_defaults(default_format="json")
     return parser
 
 

@@ -12,13 +12,16 @@ Three generalizations of the reachable-region volume expansion:
   matrix exponential over [0, T], the power factor becomes exp(sum l T),
   and the distribution factor uses pairwise sums and 1/lambda.
 
-All three closed forms are one call each to the subset-expansion kernel of
-:mod:`reachvol.analytic`, which takes the power and the factor formulas
-by mode.  Each is paired with an independent brute-force check: the
-narrow generators of the model definition, the plain reachability
-generators, and a left-endpoint Riemann discretization of the integral
-region, all fed through the exact determinant sum.  :func:`volume` is the
-one dispatcher over modes and routes that the CLI calls.
+The narrow and continuous-time closed forms are one call each to the
+subset-expansion kernel of :mod:`reachvol.analytic`, which takes the power
+and the factor formulas by mode; the all-negative one is the analytic
+route of :func:`reachvol.analytic.full_volume`, which evaluates every
+all-negative spectrum on its moduli.  Each is paired with an independent
+brute-force check: the narrow generators of the model definition, the
+plain reachability generators, and a left-endpoint Riemann discretization
+of the integral region, all fed through the exact determinant sum.
+:func:`volume` is the one dispatcher over modes and routes that the CLI
+calls.
 """
 
 import math
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (
-    DEFAULT_DPS,
     VolumeReport,
     _direct_report,
     _ensure_eigen,
@@ -105,8 +107,7 @@ class ContinuousModel:
         return self.A_c.shape[0]
 
 
-def narrow_volume_analytic(system, N, *, eps_distinct=None, eps_sing=None,
-                           dps=DEFAULT_DPS):
+def narrow_volume_analytic(system, N, *, eps_distinct=None, eps_sing=None):
     """Volume of the N-step narrow controllable region, closed form.
 
     Same subset expansion as the reachable region but with inverse
@@ -122,12 +123,10 @@ def narrow_volume_analytic(system, N, *, eps_distinct=None, eps_sing=None,
     if np.any(np.abs(lam) < eps_s):
         raise VolumeDomainError("narrow region needs nonzero eigenvalues")
     lam = _expansion_input(lam, int(N), eps_d, eps_s, "the narrow-region expansion")
-    cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
-    return _expansion_report(eig, lam, N, "narrow", dps, cls)
+    return _expansion_report(eig, lam, N, "narrow", SpectrumClass.ALL_POSITIVE_DISTINCT)
 
 
-def negative_spectrum_volume(system, N, *, eps_distinct=None, eps_sing=None,
-                             dps=DEFAULT_DPS):
+def negative_spectrum_volume(system, N, *, eps_distinct=None, eps_sing=None):
     """Volume of the N-step reachable region for an all-negative spectrum.
 
     Evaluated as the positive-path expansion over the eigenvalue moduli
@@ -137,21 +136,18 @@ def negative_spectrum_volume(system, N, *, eps_distinct=None, eps_sing=None,
     flips of the generators cancel inside the absolute determinants, so
     this equals the exact generator-matrix volume at every N.  Subset
     indices in the term breakdown refer to the modulus-ascending order.
+
+    This is the analytic route of :func:`full_volume`, after a check that
+    every eigenvalue is negative; a horizon 1 <= N < n gives its flat
+    report.
     """
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
-    eps_s = EPS_SING if eps_sing is None else eps_sing
-    eig = _ensure_eigen(system, eps_d)
+    eig = _ensure_eigen(system, eps_distinct)
     lam = eig.eigenvalues
     if not np.all(lam < 0.0):
-        cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
+        cls = classify_spectrum(lam, "discrete", eps_distinct=eps_distinct,
+                                eps_sing=eps_sing)
         raise SpectrumError(cls, "negative-spectrum route requires lambda_i < 0 for all i")
-    N = int(N)
-    if N < eig.n:
-        raise ValueError(f"N must be >= n={eig.n}, got {N}")
-    work = _expansion_input(np.sort(np.abs(lam)), N, eps_d, eps_s)
-    return _expansion_report(eig, work, N, "discrete", dps,
-                             SpectrumClass.ALL_NEGATIVE_DISTINCT,
-                             ("evaluated on |lambda| sorted ascending",))
+    return full_volume(eig, N, "analytic", eps_distinct=eps_distinct, eps_sing=eps_sing)
 
 
 def _ct_validate(lam, eps_d, eps_s):
@@ -166,7 +162,7 @@ def _ct_validate(lam, eps_d, eps_s):
     return cls
 
 
-def ct_volume_analytic(model, *, eps_distinct=None, eps_sing=None, dps=DEFAULT_DPS):
+def ct_volume_analytic(model, *, eps_distinct=None, eps_sing=None):
     """Volume of the time-T continuous-time reachable region, closed form.
 
     Subset expansion with power factor prod exp(lambda T) over the subset
@@ -186,7 +182,7 @@ def ct_volume_analytic(model, *, eps_distinct=None, eps_sing=None, dps=DEFAULT_D
     if not np.all(lam < 0.0):
         warnings = ("spectrum is not strictly stable; the closed form is "
                     "exact only for all-negative spectra",)
-    return _expansion_report(eig, lam, model.T, "continuous", dps, cls, warnings)
+    return _expansion_report(eig, lam, model.T, "continuous", cls, warnings)
 
 
 def ct_discretized_oracle(model, dt, *, max_terms=20_000_000, eps_distinct=None):

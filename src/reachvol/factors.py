@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _FACTOR_FORMS
 from .model import EPS_SING, SingularFactorError, VolumeDomainError
 
 __all__ = [
@@ -46,7 +47,7 @@ class FactorReport:
 
 
 def _pair_value(a, b, mode, eps):
-    den = (1.0 - a * b) if mode == "discrete" else (a + b)
+    den = _FACTOR_FORMS["discrete_positive" if mode == "discrete" else mode][0](a, b)
     if abs(den) < eps:
         return math.inf
     return abs((b - a) / den)

@@ -3,9 +3,8 @@
 Covers the plumbing between a discrete-time model x_{k+1} = A x_k + B u_k
 and the volume machinery: building the generator matrices of reachable and
 narrow controllable regions, diagonalizing single-input systems into
-(eigenvalues, unit left eigenvectors, modal gains), classifying spectra
-against the hypotheses of the closed-form volume routes, and the
-determinant rule for volumes under a change of state coordinates.
+(eigenvalues, unit left eigenvectors, modal gains), and classifying spectra
+against the hypotheses of the closed-form volume routes.
 """
 
 import json
@@ -31,11 +30,11 @@ __all__ = [
     "narrow_generators",
     "diagonalize",
     "classify_spectrum",
-    "volume_under_transform",
 ]
 
-# Default tolerances.  eps_distinct is relative to the spectral radius;
-# eps_sing and eps_complex are absolute.
+# Default tolerances.  EPS_DISTINCT and EPS_COMPLEX are relative to the
+# spectral radius (at least 1); EPS_SING is absolute.  Callers may override
+# eps_distinct and eps_sing; EPS_COMPLEX is fixed.
 EPS_DISTINCT = 1e-8
 EPS_SING = 1e-10
 EPS_COMPLEX = 1e-10
@@ -255,8 +254,7 @@ def narrow_generators(model, N, *, eps_sing=None):
     return np.hstack(blocks[::-1])
 
 
-def classify_spectrum(lambdas, mode="discrete", *, eps_distinct=None, eps_sing=None,
-                      eps_complex=None):
+def classify_spectrum(lambdas, mode="discrete", *, eps_distinct=None, eps_sing=None):
     """Classify a spectrum for the closed-form volume routes.
 
     Checks run in priority order Complex > Degenerate > NearSingularFactor >
@@ -269,14 +267,13 @@ def classify_spectrum(lambdas, mode="discrete", *, eps_distinct=None, eps_sing=N
         raise ValueError(f"unknown mode {mode!r}")
     eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
     eps_s = EPS_SING if eps_sing is None else eps_sing
-    eps_c = EPS_COMPLEX if eps_complex is None else eps_complex
 
     arr = np.asarray(lambdas)
     if arr.size == 0:
         raise ValueError("empty spectrum")
     radius = float(np.max(np.abs(arr))) if arr.size else 0.0
     if np.iscomplexobj(arr):
-        if np.max(np.abs(arr.imag)) > eps_c * max(radius, 1.0):
+        if np.max(np.abs(arr.imag)) > EPS_COMPLEX * max(radius, 1.0):
             return SpectrumClass.COMPLEX
         arr = arr.real
     lam = np.sort(arr.astype(float))
@@ -305,7 +302,7 @@ def classify_spectrum(lambdas, mode="discrete", *, eps_distinct=None, eps_sing=N
     return SpectrumClass.MIXED_SIGN
 
 
-def diagonalize(model, *, eps_distinct=None, eps_complex=None):
+def diagonalize(model, *, eps_distinct=None):
     """Decompose a single-input model into spectral form.
 
     Left eigenvectors come from the eigendecomposition of A transposed;
@@ -323,14 +320,13 @@ def diagonalize(model, *, eps_distinct=None, eps_complex=None):
         for a repeated eigenvalue.
     """
     eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
-    eps_c = EPS_COMPLEX if eps_complex is None else eps_complex
     if model.r != 1:
         raise ValueError(
             f"diagonalize requires a single input column, got r={model.r}"
         )
     w, v = np.linalg.eig(model.A.T)
     radius = max(float(np.max(np.abs(w))), 1.0)
-    if np.max(np.abs(w.imag)) > eps_c * radius:
+    if np.max(np.abs(w.imag)) > EPS_COMPLEX * radius:
         raise SpectrumError(SpectrumClass.COMPLEX, "complex eigenvalue pair detected")
     lam = w.real
     order = np.argsort(lam)
@@ -345,13 +341,3 @@ def diagonalize(model, *, eps_distinct=None, eps_complex=None):
     gains = (W @ model.B).reshape(-1)
     return EigenStructure(lam, W, gains)
 
-
-def volume_under_transform(vol, W):
-    """Volume after the change of coordinates x -> W x: |det W| * vol."""
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError(f"W must be square, got shape {W.shape}")
-    d = np.linalg.det(W)
-    if d == 0.0:
-        raise ValueError("transform matrix is singular")
-    return abs(d) * float(vol)

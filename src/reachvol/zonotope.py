@@ -15,8 +15,6 @@ from itertools import combinations, islice
 import numpy as np
 
 __all__ = [
-    "enumerate_subsets",
-    "combination_at_rank",
     "determinant_count",
     "unit_cube_volume",
     "symmetric_volume",
@@ -65,79 +63,6 @@ def determinant_count(m, n):
     if n > m:
         raise ValueError(f"n must not exceed m, got n={n}, m={m}")
     return math.comb(m, n)
-
-
-def _combination_unrank(count, size, rank):
-    """Combination of `size` items out of `count` at lexicographic `rank`."""
-    out = []
-    x = 0
-    remaining = size
-    for pos in range(size):
-        # advance x until the block of combinations starting with x covers rank
-        while True:
-            block = math.comb(count - x - 1, remaining - 1)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        out.append(x)
-        x += 1
-        remaining -= 1
-    return tuple(out)
-
-
-def combination_at_rank(ground_lo, ground_hi, size, rank):
-    """Return the subset at a given lexicographic rank.
-
-    Companion of :func:`enumerate_subsets` for partitioning the tuple range:
-    disjoint rank slices enumerate disjoint runs of subsets, so the exact
-    volume sum can be split across workers and reduced associatively.
-    """
-    total = _validate_ground(ground_lo, ground_hi, size)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} outside [0, {total})")
-    offs = _combination_unrank(ground_hi - ground_lo + 1, size, rank)
-    return tuple(ground_lo + x for x in offs)
-
-
-def _validate_ground(ground_lo, ground_hi, size):
-    if ground_lo > ground_hi:
-        raise ValueError(f"empty ground range [{ground_lo}, {ground_hi}]")
-    if size < 0:
-        raise ValueError(f"subset size must be >= 0, got {size}")
-    count = ground_hi - ground_lo + 1
-    if size > count:
-        raise ValueError(f"subset size {size} exceeds ground set size {count}")
-    return math.comb(count, size)
-
-
-def enumerate_subsets(ground_lo, ground_hi, size, *, start=0, stop=None):
-    """Yield all strictly increasing `size`-tuples from {ground_lo..ground_hi}.
-
-    Tuples come out in lexicographic order; size 0 yields the single empty
-    tuple.  `start`/`stop` select a rank slice [start, stop) so the range
-    can be partitioned into disjoint pieces.
-
-    Parameters
-    ----------
-    ground_lo, ground_hi : int
-        Inclusive bounds of the ground set.
-    size : int
-        Number of elements per tuple, 0 <= size <= ground set size.
-    start, stop : int, optional
-        Lexicographic rank slice; defaults to the whole range.
-
-    Yields
-    ------
-    tuple of int
-    """
-    total = _validate_ground(ground_lo, ground_hi, size)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"invalid rank slice [{start}, {stop}) of {total}")
-    it = combinations(range(ground_lo, ground_hi + 1), size)
-    yield from islice(it, start, stop)
 
 
 def _det_sum_dim1(Z):

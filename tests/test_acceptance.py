@@ -301,7 +301,7 @@ def test_09_complexity_separation():
     t_rec = []
     for N in (1000, 2000, 4000):
         t_rec.append(min(timeit.repeat(
-            lambda: recursive_volume_sum(lam3, N), number=3, repeat=3)))
+            lambda: recursive_volume_sum(lam3, N), number=3, repeat=7)))
     linear = all(b / a < 3.0 for a, b in zip(t_rec, t_rec[1:]))
 
     counts_ok = all(

@@ -271,6 +271,24 @@ class TestUsageErrors:
                            "--N", "2")
         assert code == 1
 
+    # each subcommand takes only the flags it reads; a valid call plus one more
+    VALID_CALLS = {"volume": ["--N", "2"], "factors": ["--N", "2"], "sweep": ["--N", "3"],
+                   "bench": ["--N", "8", "--trials", "1"], "check": ["--trials", "2"]}
+
+    @pytest.mark.parametrize("command,flag", [
+        ("volume", ["--seed", "1"]), ("volume", ["--trials", "3"]),
+        ("factors", ["--route", "direct"]), ("factors", ["--dt", "0.1"]),
+        ("sweep", ["--T", "1"]), ("sweep", ["--dt", "0.1"]),
+        ("bench", ["--mode", "narrow"]),
+        ("check", ["--N", "3"]), ("check", ["--model", "m.json"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"))
+    def test_flag_of_another_subcommand_exit_1(self, capsys, diag_model, command, flag):
+        model = [] if command == "check" else ["--model", diag_model]
+        code, out, err = run(capsys, command, *model, *self.VALID_CALLS[command], *flag)
+        assert code == 1
+        assert out == ""
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in err
+
 
 # Dispatcher decisions per (model, mode, route, horizon): exit code, the
 # route the report names, and its warnings.  Horizons: N5 = --N 5,
@@ -282,7 +300,6 @@ DISPATCH_HORIZONS = {"N5": ["--N", "5"], "N2": ["--N", "2"], "-": [],
 DISPATCH_WARNINGS = {
     "FLAT": "N < n: flat region, volume 0",
     "NEG_MODULI": "all-negative spectrum: evaluated on |lambda| sorted ascending",
-    "MODULI": "evaluated on |lambda| sorted ascending",
     "UNSTABLE": "spectrum is not strictly stable; the closed form is exact only "
                 "for all-negative spectra",
     "SIGNED": "signed normalized sum is negative; volume is its magnitude",
@@ -360,7 +377,7 @@ negative   narrow     recursive -     1  -         -
 negative   narrow     analytic  N5    2  -         -
 negative   narrow     analytic  N2    0  analytic  FLAT
 negative   narrow     analytic  -     1  -         -
-negative   negative   auto      N5    0  analytic  MODULI
+negative   negative   auto      N5    0  analytic  NEG_MODULI
 negative   negative   auto      N2    0  analytic  FLAT
 negative   negative   auto      -     1  -         -
 negative   negative   direct    N5    0  direct    -
@@ -369,7 +386,7 @@ negative   negative   direct    -     1  -         -
 negative   negative   recursive N5    0  recursive NEG_MODULI
 negative   negative   recursive N2    0  recursive FLAT
 negative   negative   recursive -     1  -         -
-negative   negative   analytic  N5    0  analytic  MODULI
+negative   negative   analytic  N5    0  analytic  NEG_MODULI
 negative   negative   analytic  N2    0  analytic  FLAT
 negative   negative   analytic  -     1  -         -
 negative   continuous auto      T     0  analytic  SIGNED

@@ -212,8 +212,14 @@ class TestVolumeDispatcher:
     @pytest.mark.parametrize("route", ["auto", "analytic"])
     def test_horizon_below_dimension_is_flat(self, mode, route):
         # whatever the spectrum: neither is all negative, (0.5, 2) is reciprocal
-        for lam in ([0.3, 0.6, 0.9], [0.5, 0.7, 2.0]):
-            rep = volume(EigenStructure.from_spectrum(lam), 2, mode, route)
+        reports = [volume(EigenStructure.from_spectrum(lam), 2, mode, route)
+                   for lam in ([0.3, 0.6, 0.9], [0.5, 0.7, 2.0])]
+        if mode == "negative":
+            # the negative-mode closed form, called directly, answers the same
+            neg = EigenStructure.from_spectrum([-0.9, -0.6, -0.3])
+            reports += [volume(neg, 2, mode, route), negative_spectrum_volume(neg, 2),
+                        negative_spectrum_volume(neg.to_model(), 2)]
+        for rep in reports:
             assert (rep.volume, rep.route) == (0.0, "analytic")
             assert rep.warnings == ("N < n: flat region, volume 0",)
 

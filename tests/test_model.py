@@ -14,7 +14,6 @@ from reachvol.model import (
     load_model,
     narrow_generators,
     reachability_generators,
-    volume_under_transform,
 )
 from reachvol.sampling import random_invertible, random_single_input, random_spectrum
 from reachvol.zonotope import symmetric_volume
@@ -207,16 +206,6 @@ class TestClassifySpectrum:
 
 
 class TestVolumeUnderTransform:
-    def test_identity(self):
-        assert volume_under_transform(3.0, np.eye(3)) == 3.0
-
-    def test_diagonal(self):
-        assert volume_under_transform(1.0, np.diag([2.0, 3.0])) == pytest.approx(6.0)
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            volume_under_transform(1.0, np.zeros((2, 2)))
-
     def test_matches_generator_oracle(self):
         rng = np.random.default_rng(15)
         for _ in range(8):
@@ -225,7 +214,7 @@ class TestVolumeUnderTransform:
             W = random_invertible(rng, 3)
             P = reachability_generators(StateSpaceModel(A, B), 5)
             lhs = symmetric_volume(W @ P)
-            rhs = volume_under_transform(symmetric_volume(P), W)
+            rhs = abs(np.linalg.det(W)) * symmetric_volume(P)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 

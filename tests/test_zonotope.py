@@ -1,70 +1,12 @@
-"""Exact determinant-sum volume and subset enumeration."""
+"""Exact determinant-sum volume and determinant counts."""
 
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from reachvol.zonotope import (
-    combination_at_rank,
-    determinant_count,
-    enumerate_subsets,
-    symmetric_volume,
-    unit_cube_volume,
-)
-
-
-class TestEnumerateSubsets:
-    def test_all_two_subsets_of_three(self):
-        assert list(enumerate_subsets(0, 2, 2)) == [(0, 1), (0, 2), (1, 2)]
-
-    def test_empty_tuple_convention(self):
-        assert list(enumerate_subsets(1, 3, 0)) == [()]
-
-    def test_count_matches_binomial(self):
-        # oracle: factorial formula
-        expected = math.factorial(10) // (math.factorial(6) * math.factorial(4))
-        assert expected == 210
-        assert len(list(enumerate_subsets(0, 9, 4))) == expected
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            list(enumerate_subsets(3, 1, 1))
-        with pytest.raises(ValueError):
-            list(enumerate_subsets(0, 2, -1))
-        with pytest.raises(ValueError):
-            list(enumerate_subsets(0, 2, 4))
-
-    @given(st.integers(-5, 5), st.integers(0, 9), st.integers(0, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_lexicographic_strictly_increasing(self, lo, width, size):
-        hi = lo + width
-        if size > width + 1:
-            size = width + 1
-        subs = list(enumerate_subsets(lo, hi, size))
-        assert len(subs) == math.comb(width + 1, size)
-        assert subs == sorted(subs)
-        for t in subs:
-            assert all(lo <= x <= hi for x in t)
-            assert all(b > a for a, b in zip(t, t[1:]))
-
-    def test_rank_slices_partition_the_range(self):
-        full = list(enumerate_subsets(2, 9, 3))
-        total = len(full)
-        cuts = [0, 13, 29, total]
-        parts = [list(enumerate_subsets(2, 9, 3, start=a, stop=b))
-                 for a, b in zip(cuts, cuts[1:])]
-        assert sum(parts, []) == full
-
-    def test_combination_at_rank_agrees_with_enumeration(self):
-        full = list(enumerate_subsets(0, 7, 4))
-        for rank, tup in enumerate(full):
-            assert combination_at_rank(0, 7, 4, rank) == tup
-        with pytest.raises(ValueError):
-            combination_at_rank(0, 7, 4, len(full))
+from reachvol.zonotope import determinant_count, symmetric_volume, unit_cube_volume
 
 
 class TestDeterminantCount:
@@ -80,7 +22,7 @@ class TestDeterminantCount:
         for m in range(1, 9):
             for n in range(1, m + 1):
                 assert determinant_count(m, n) == \
-                    len(list(enumerate_subsets(0, m - 1, n)))
+                    len(list(combinations(range(m), n)))
 
 
 def _brute_volume(Z):
