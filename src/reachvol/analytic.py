@@ -17,12 +17,25 @@ the reachable region (powers lambda^N), the narrow region (lambda^-N) and
 continuous time (exp(lambda T)), which differ only in the power and in
 the pairwise and per-eigenvalue factor formulas.  It builds each subset's
 factors from the subset without its largest member, O(2^n n) in all, and
-returns the terms and their exact total from one pass.
+returns the terms and their total from one pass.
 
-The expansion's terms cancel heavily near the N = n anchor, so subset
-terms are evaluated in arbitrary precision (mpmath, a fixed 40 significant
-digits, DEFAULT_DPS) and rounded once on output; the recursion needs no
-divisions and runs in ordinary doubles.
+The expansion's terms cancel heavily near the N = n anchor, so the kernel
+chooses its precision from the measured cancellation cond = sum|t| / |sum t|.
+The n^2 per-eigenvalue scalars (pair factors, 1/self, the powers) are formed
+in mpmath at DEFAULT_DPS = 40 digits and split into double-double mantissas
+and binary exponents.  The 2^n tables are then built in double-double numpy
+arithmetic (Dekker's error-free products, one vector operation per factor
+and new top bit), so powers far below the double range keep full precision.
+The total is math.fsum over every word, the correctly rounded sum of the
+double-double terms (Ogita, Rump & Oishi), and cond comes from the same
+pass.  Below COND_DD = 1e13 that answer agrees with the 40-digit
+evaluation to the last bit.  Above it mpmath re-evaluates the tables at GUARD_DIGITS = 20 digits
+beyond log10(cond), at least 40, and again at what its own measured cond
+calls for, up to MAX_DPS = 100 digits; a sum that needs more is refused
+with a SpectrumError of class IllConditioned.  Every output field is
+rounded once, subnormals included.  The report's Precision record names
+the path, cond and digits.  The recursion needs no divisions and runs in
+ordinary doubles.
 
 The recursion is vectorized over subset bitmasks.  Index tables built once
 per n hold one row per (mask, term): the mask's previous value, then one
@@ -33,9 +46,11 @@ over masks and members did and the result is bit-identical to it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -58,6 +73,7 @@ from .zonotope import symmetric_volume
 __all__ = [
     "DEFAULT_DPS",
     "SubsetTerm",
+    "Precision",
     "VolumeReport",
     "distribution_factor",
     "power_factor",
@@ -73,12 +89,19 @@ __all__ = [
     "substitution_identity_residuals",
 ]
 
-# Working precision (significant digits) for the subset-term expansion.
+# Digits of the per-eigenvalue scalars, and the least the mpmath path uses.
 DEFAULT_DPS = 40
+# Double-double, about DD_DIGITS digits, answers below this cancellation
+# sum|t| / |sum t|; there it gave the 40-digit bits on every case tried.
+COND_DD = 1e13
+DD_DIGITS = 32
+# mpmath keeps GUARD_DIGITS beyond log10(cond), up to MAX_DPS digits; a sum
+# that needs more is refused.
+GUARD_DIGITS = 20
+MAX_DPS = 100
 
 
-@dataclass(frozen=True)
-class SubsetTerm:
+class SubsetTerm(NamedTuple):
     """One eigenvalue-subset term of the analytic expansion.
 
     value = sign * power * dist_in * dist_out, where `subset` holds the
@@ -96,6 +119,20 @@ class SubsetTerm:
 
 
 @dataclass(frozen=True)
+class Precision:
+    """Which arithmetic answered a subset expansion.
+
+    path is "double-double" or "mpmath"; cond = sum|t| / |sum t| is the
+    cancellation measured on the terms; dps is the working precision in
+    significant digits (DD_DIGITS for double-double).
+    """
+
+    path: str
+    cond: float
+    dps: int
+
+
+@dataclass(frozen=True)
 class VolumeReport:
     """Result of a volume computation.
 
@@ -103,7 +140,8 @@ class VolumeReport:
     (signed; eigenvalue routes only), so that for those routes
     volume = prefactor * |normalized_sum| with the 2^n coordinate/gain
     prefactor of the eigenstructure.  terms is the per-subset breakdown
-    (analytic route only), ordered by subset size then lexicographically.
+    (analytic route only), ordered by subset size then lexicographically;
+    precision says how those terms were evaluated.
     """
 
     volume: float
@@ -112,6 +150,7 @@ class VolumeReport:
     terms: tuple = None
     spectrum: SpectrumClass = None
     warnings: tuple = ()
+    precision: Precision = None
 
 
 def _check_sorted_spectrum(lam):
@@ -378,7 +417,9 @@ def _subset_tables(lam, horizon, mode):
     Each subset extends the prefix without its largest member j:
     phi(S+j) = phi(S) * prod_{i in S} pair(i, j) / self(j) and
     ups(S+j) = ups(S) * power(j), so all 2^n entries cost O(2^n n).
-    Values are mpmath numbers at the caller's working precision.
+    Values are mpmath numbers at the caller's working precision.  This is
+    the kernel's fallback for sums that cancel past double-double, and the
+    reference its double-double tables are tested against.
     """
     form, power = _EXPANSIONS[mode]
     pair_den, self_den, absolute = _FACTOR_FORMS[form]
@@ -409,26 +450,216 @@ def _subset_tables(lam, horizon, mode):
     return sign, ups, phi
 
 
-def _expand(lam, horizon, mode):
-    """The subset expansion: (terms, total) for a validated ascending spectrum.
+@lru_cache(maxsize=8)
+def _subset_order(n):
+    """Per n: the bitmasks in size-then-lex order, their 1-based subsets and
+    term signs in that order, every bitmask's sign as +-1.0, and the index
+    pairs i < j in lexicographic order.  Depends on n only, so it is cached."""
+    order = list(_subsets(n))
+    masks = np.array([mask for _, mask in order])
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    # (-1)**((n+1)s - sum of 1-based members)
+    sign = 1.0 - 2.0 * (((n + 1) * bits.sum(axis=1) - bits @ np.arange(1, n + 1)) % 2)
+    pairs = np.triu_indices(n, 1)
+    for arr in (masks, sign, *pairs):
+        arr.setflags(write=False)
+    subsets = tuple(tuple(j + 1 for j in sub) for sub, _ in order)
+    return masks, subsets, tuple(int(x) for x in sign[masks]), sign, pairs
 
-    `mode` picks the power and the distribution factors (see _EXPANSIONS).
-    Terms come in size-then-lex order; the total is accumulated exactly in
-    working precision, and both are rounded to float once.
+
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's constant, splits a double into 26 + 27 bits
+
+
+def _dd_mul(ah, al, bh, bl):
+    """Double-double product (ah + al) * (bh + bl), renormalized.
+
+    Dekker's TwoProd gives ah * bh exactly as p + e (numpy does not fuse
+    multiply-adds, so every product below rounds once); the cross terms
+    join the error word, and a fast two-sum renormalizes.
     """
+    p = ah * bh
+    t = _SPLIT * ah
+    a1 = t - (t - ah)
+    a2 = ah - a1
+    t = _SPLIT * bh
+    b1 = t - (t - bh)
+    b2 = bh - b1
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    e += ah * bl + al * bh
+    h = p + e
+    return h, e - (h - p)
+
+
+def _dd_parts(values):
+    """Words hi, lo and exponents e, three arrays, with each mpf value equal to
+    (hi + lo) * 2**e to about 106 bits and 0.5 <= |hi + lo| <= 1."""
+    rows = []
+    for v in values:
+        # v = (-1)**sign * man * 2**exp, man of bc bits; int-to-float rounds once
+        sign, man, exp, bc = v._mpf_
+        hi = float(man)
+        lo = float(man - int(hi))
+        if sign:
+            hi, lo = -hi, -lo
+        rows.append((math.ldexp(hi, -bc), math.ldexp(lo, -bc), exp + bc))
+    hi, lo, ex = np.array(rows, dtype=float).reshape(-1, 3).T
+    return hi, lo, ex.astype(np.int64)
+
+
+def _dd_round(hi, lo, ex):
+    """The doubles nearest (hi + lo) * 2**ex, overflowing to +-inf.
+
+    Scaling hi alone is exact unless the result is subnormal, where
+    np.ldexp rounds hi to nearest, ties to even.  Only a tie can then
+    differ from rounding hi + lo, and there the sign of lo decides.
+    Call with numpy's underflow and overflow warnings off.
+    """
+    out = np.ldexp(hi, ex)
+    sub = np.flatnonzero(np.abs(out) < sys.float_info.min)
+    if sub.size:
+        hi, lo, ex, low = hi[sub], lo[sub], ex[sub], out[sub]
+        d = hi - np.ldexp(low, -ex)
+        tie = (np.abs(d) == np.ldexp(1.0, -1075 - ex)) & (d * lo > 0.0)
+        out[sub[tie]] += np.copysign(5e-324, d[tie])
+    return out
+
+
+def _dd_expand(lam, horizon, mode):
+    """Double-double evaluation of the expansion, in bitmask order.
+
+    Returns the (4, 2^n) array of power, dist_in, dist_out and value per
+    subset, each rounded once to double, and the total and cancellation
+    sum|t| / |sum t|.  The per-eigenvalue scalars are formed in mpmath at
+    DEFAULT_DPS digits and split into double-double mantissas and binary
+    exponents; the tables multiply mantissas and add exponents, so powers
+    far below the double range keep their full precision.
+    """
+    form, power = _EXPANSIONS[mode]
+    pair_den, self_den, absolute = _FACTOR_FORMS[form]
+    n = len(lam)
+    half = 1 << (n - 1)
+    _, _, _, sign, iu = _subset_order(n)
+    with mp.workdps(DEFAULT_DPS):
+        x = [mpf(float(v)) for v in lam]
+        pairs = ((x[j] - x[i]) / pair_den(x[i], x[j]) for i, j in zip(*iu))
+        scalars = _dd_parts([*(power(v, horizon) for v in x), *(1 / self_den(v) for v in x),
+                             *(abs(p) if absolute else p for p in pairs)])
+    pw, inv = ([w[k * n:(k + 1) * n] for w in scalars] for k in (0, 1))
+    ph, pl, pe = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), dtype=np.int64)
+    ph[iu], pl[iu], pe[iu] = (w[2 * n:] for w in scalars)
+    # g[j, 0, m] = 1/self(j) * prod of pair(i, j) over the members i of m < 2^j,
+    # g[j, 1, m] = power(j): one doubling per member i, for every j > i at once
+    gh, gl = np.empty((n, 2, half)), np.empty((n, 2, half))
+    ge = np.empty((n, 2, half), dtype=np.int64)
+    gh[:, 0, 0], gl[:, 0, 0], ge[:, 0, 0] = inv
+    gh[:, 1], gl[:, 1], ge[:, 1] = (w[:, None] for w in pw)
+    for i in range(n - 1):
+        s, rest = 1 << i, slice(i + 1, n)
+        gh[rest, 0, s:2 * s], gl[rest, 0, s:2 * s] = _dd_mul(
+            gh[rest, 0, :s], gl[rest, 0, :s], ph[i, rest, None], pl[i, rest, None])
+        ge[rest, 0, s:2 * s] = ge[rest, 0, :s] + pe[i, rest, None]
+    # rows phi and ups over bitmasks: a mask with top bit j extends mask - 2^j
+    th, tl = np.empty((2, 1 << n)), np.empty((2, 1 << n))
+    te = np.empty((2, 1 << n), dtype=np.int64)
+    th[:, 0], tl[:, 0], te[:, 0] = 1.0, 0.0, 0
+    for j in range(n):
+        s = 1 << j
+        th[:, s:2 * s], tl[:, s:2 * s] = _dd_mul(th[:, :s], tl[:, :s], gh[j, :, :s],
+                                                 gl[j, :, :s])
+        te[:, s:2 * s] = te[:, :s] + ge[j, :, :s]
+    (phi_h, ups_h), (phi_l, ups_l), (phi_e, ups_e) = th, tl, te
+    # the complement of mask m is 2^n - 1 - m: the reversed table
+    vh, vl = _dd_mul(ups_h, ups_l, phi_h, phi_l)
+    vh, vl = _dd_mul(vh, vl, phi_h[::-1], phi_l[::-1])
+    vh, vl = vh * sign, vl * sign
+    vh, k = np.frexp(vh)
+    vl = np.ldexp(vl, -k)
+    ve = ups_e + phi_e + phi_e[::-1] + k
+    # total: every hi and lo word scaled to the largest term, summed exactly
+    top = int(ve.max())
+    with np.errstate(under="ignore", over="ignore"):
+        scaled = np.ldexp(vh, ve - top)
+        parts = scaled.tolist() + np.ldexp(vl, ve - top).tolist()
+        total = math.fsum(parts)
+        cond = float(np.abs(scaled).sum()) / abs(total) if total else math.inf
+        # the rounding error of the sum only matters where the total is subnormal
+        subnormal = top + math.frexp(total)[1] <= -1022
+        residual = math.fsum(parts + [-total]) if subnormal else 0.0
+        # power, dist_in, dist_out and value per mask, then the total, rounded at once
+        out = _dd_round(np.concatenate([ups_h, phi_h, phi_h[::-1], vh, [total]]),
+                        np.concatenate([ups_l, phi_l, phi_l[::-1], vl, [residual]]),
+                        np.concatenate([ups_e, phi_e, phi_e[::-1], ve, [top]]))
+    return out[:-1].reshape(4, -1), float(out[-1]), cond
+
+
+def _mp_float(v):
+    """An mpf rounded once to the nearest double.  float() rounds to 53 bits
+    and then again into the subnormal range; int division rounds once."""
+    f = float(v)
+    if abs(f) < sys.float_info.min and v:
+        man, exp = v.man_exp
+        return math.copysign(man / (1 << -exp), f)
+    return f
+
+
+def _mp_expand(lam, horizon, mode, dps):
+    """The expansion at `dps` digits in mpmath: (terms, total, cancellation)."""
     n = len(lam)
     full = (1 << n) - 1
-    with mp.workdps(DEFAULT_DPS):
+    with mp.workdps(dps):
         sign, ups, phi = _subset_tables(lam, horizon, mode)
         terms = []
-        total = mpf(0)
+        total = magnitude = mpf(0)
         for sub, mask in _subsets(n):
             val = sign[mask] * ups[mask] * phi[mask] * phi[full ^ mask]
             total += val
+            magnitude += abs(val)
             terms.append(SubsetTerm(tuple(j + 1 for j in sub), sign[mask],
-                                    float(ups[mask]), float(phi[mask]),
-                                    float(phi[full ^ mask]), float(val)))
-        return tuple(terms), float(total)
+                                    _mp_float(ups[mask]), _mp_float(phi[mask]),
+                                    _mp_float(phi[full ^ mask]), _mp_float(val)))
+        cond = float(magnitude / abs(total)) if total else math.inf
+        return tuple(terms), _mp_float(total), cond
+
+
+def _digits_for(cond):
+    """Working digits that resolve a sum cancelling by `cond` to GUARD_DIGITS."""
+    if not math.isfinite(cond):
+        return math.inf
+    return max(DEFAULT_DPS, math.ceil(math.log10(max(cond, 1.0))) + GUARD_DIGITS)
+
+
+def _expand(lam, horizon, mode):
+    """The subset expansion: (terms, total, Precision) for a validated ascending
+    spectrum.
+
+    `mode` picks the power and the distribution factors (see _EXPANSIONS).
+    Terms come in size-then-lex order, each field rounded to float once.
+    Double-double answers when the measured cancellation is below COND_DD.
+    Otherwise mpmath re-evaluates at the digits that cancellation calls for
+    (at MAX_DPS where the double-double sum is noise), and again at the
+    digits its own measured cancellation calls for, up to MAX_DPS.  A sum
+    that needs more is refused with a SpectrumError.
+    """
+    n = len(lam)
+    fields, total, cond = _dd_expand(lam, horizon, mode)
+    if cond < COND_DD:
+        masks, subsets, signs = _subset_order(n)[:3]
+        terms = tuple(map(SubsetTerm, subsets, signs, *fields[:, masks].tolist()))
+        return terms, total, Precision("double-double", cond, DD_DIGITS)
+    # the double-double sum is good to about n^2 2^-100 of sum|t|: past that
+    # its cond measures noise, and mpmath starts at the cap
+    dps = min(_digits_for(cond), MAX_DPS) if cond * n * n < 2.0 ** 100 else MAX_DPS
+    while True:
+        terms, total, cond = _mp_expand(lam, horizon, mode, dps)
+        need = _digits_for(cond)
+        if need <= dps:
+            return terms, total, Precision("mpmath", cond, dps)
+        if dps == MAX_DPS:
+            raise SpectrumError(SpectrumClass.ILL_CONDITIONED,
+                                f"the subset expansion cancels by {cond:.3g} "
+                                f"(sum |t| / |sum t|) at {dps} digits, the cap of its "
+                                f"working precision")
+        dps = min(need, MAX_DPS)
 
 
 def _expansion_input(lambdas, N, eps_distinct, eps_sing, what="the analytic expansion"):
@@ -448,13 +679,13 @@ def _expansion_input(lambdas, N, eps_distinct, eps_sing, what="the analytic expa
 
 def _expansion_report(eig, lam, horizon, mode, spectrum, warnings=()):
     """VolumeReport of one kernel evaluation, scaled by eig's prefactor."""
-    terms, total = _expand(lam, horizon, mode)
+    terms, total, precision = _expand(lam, horizon, mode)
     # a discrete sum is a volume; narrow and continuous sums are signed
     if mode != "discrete" and total < 0.0:
         warnings = (*warnings, "signed normalized sum is negative; volume is its magnitude")
     return VolumeReport(volume=eig.volume_prefactor * abs(total), route="analytic",
                         normalized_sum=total, terms=terms, spectrum=spectrum,
-                        warnings=tuple(warnings))
+                        warnings=tuple(warnings), precision=precision)
 
 
 def analytic_volume_sum(lambdas, N, *, eps_distinct=None, eps_sing=None):

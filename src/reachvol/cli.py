@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache, lru_cache
 from math import inf
 
 import numpy as np
@@ -126,21 +127,38 @@ def _fail(code, message):
     return code
 
 
-def _report_doc(report):
-    doc = {
+# One subset term as _to_json writes it inside the report's term list.
+_TERM = ('    {\n      "subset": %s,\n      "sign": %d,\n      "power": %.17g,\n'
+         '      "dist_in": %.17g,\n      "dist_out": %.17g,\n      "value": %.17g\n    }')
+
+
+@lru_cache(maxsize=4096)
+def _subset_json(subset):
+    return _to_json(list(subset), 3)
+
+
+def _terms_json(terms):
+    """The term list as _to_json writes it, with one format string per term."""
+    if not terms:
+        return "[]"
+    text = ",\n".join([_TERM % (_subset_json(t[0]), *t[1:]) for t in terms])
+    if "inf" in text or "nan" in text:  # no key holds either; _fmt writes null
+        text = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+    return "[\n" + text + "\n  ]"
+
+
+def _report_json(report):
+    text = _to_json({
         "volume": report.volume,
         "normalized_sum": report.normalized_sum,
         "route": report.route,
         "spectrum": str(report.spectrum) if report.spectrum is not None else None,
         "warnings": list(report.warnings),
-    }
-    if report.terms is not None:
-        doc["terms"] = [
-            {"subset": list(t.subset), "sign": t.sign, "power": t.power,
-             "dist_in": t.dist_in, "dist_out": t.dist_out, "value": t.value}
-            for t in report.terms
-        ]
-    return doc
+    })
+    if report.terms is None:
+        return text
+    # the terms go last, before the closing "\n}"
+    return f'{text[:-2]},\n  "terms": {_terms_json(report.terms)}\n}}'
 
 
 def cmd_volume(args):
@@ -154,7 +172,7 @@ def cmd_volume(args):
                      report.normalized_sum if report.normalized_sum is not None
                      else float("nan")]])
     else:
-        _print_json(_report_doc(report))
+        sys.stdout.write(_report_json(report) + "\n")
     return EXIT_OK
 
 
@@ -403,6 +421,7 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser():
     parser = _Parser(prog="reachvol",
                      description="Volumes of bounded-input reachable and "

@@ -171,13 +171,18 @@ def ct_volume_analytic(model, *, eps_distinct=None, eps_sing=None):
     per-eigenvalue 1/lambda).  The signed sum's magnitude is reported as
     the volume.  The absolute-value placement in the pairwise factor makes
     the expansion track the integral region exactly when all eigenvalues
-    are negative; a warning is attached otherwise.
+    are negative; a warning is attached otherwise.  At T = 0 the region is
+    the origin: volume 0, with no terms.
     """
     eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
     eps_s = EPS_SING if eps_sing is None else eps_sing
     eig = diagonalize(StateSpaceModel(model.A_c, model.B_c), eps_distinct=eps_d)
     lam = eig.eigenvalues
     cls = _ct_validate(lam, eps_d, eps_s)
+    if model.T == 0.0:
+        # every term is exactly cancelled: no relative precision resolves it
+        return VolumeReport(volume=0.0, route="analytic", normalized_sum=0.0, spectrum=cls,
+                            warnings=("T = 0: the region is the origin, volume 0",))
     warnings = ()
     if not np.all(lam < 0.0):
         warnings = ("spectrum is not strictly stable; the closed form is "

@@ -49,6 +49,9 @@ class SpectrumClass(Enum):
     DEGENERATE = "Degenerate"
     COMPLEX = "Complex"
     NEAR_SINGULAR_FACTOR = "NearSingularFactor"
+    # set by the expansion kernel, not by classify_spectrum: the terms cancel
+    # past what its precision cap resolves
+    ILL_CONDITIONED = "IllConditioned"
 
     def __str__(self):
         return self.value

@@ -1,15 +1,24 @@
 """Volume sums: expansion, recursion, identities, and route dispatch."""
 
 import math
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from mpmath import mp, mpf
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reachvol.analytic import (
+    COND_DD,
+    DD_DIGITS,
+    DEFAULT_DPS,
+    GUARD_DIGITS,
+    MAX_DPS,
     SubsetTerm,
+    _expand,
+    _subset_tables,
     analytic_volume_sum,
     analytic_volume_sum_grouped,
     analytic_volume_terms,
@@ -23,7 +32,7 @@ from reachvol.analytic import (
     sign_coefficient,
     substitution_identity_residuals,
 )
-from reachvol.extensions import ContinuousModel, ct_volume_analytic
+from reachvol.extensions import ContinuousModel, ct_volume_analytic, narrow_volume_analytic
 from reachvol.model import (
     EigenStructure,
     SingularFactorError,
@@ -588,3 +597,177 @@ class TestTermFactors:
             T = float(rng.uniform(0.1, 4.0))
             rep = ct_volume_analytic(ContinuousModel.from_spectrum(lam, np.ones(n), T))
             self.check_terms(rep.terms, lam, T, "continuous", "continuous")
+
+
+def reference_sum(lam, horizon, mode):
+    """The subset expansion at 120 digits, written apart from the kernel:
+    (sum, cancellation sum|t| / |sum t|), both mpf.  Modes as the kernel's:
+    "discrete" (powers lambda^N), "narrow" (lambda^-N), "continuous"
+    (exp(lambda T), pairwise sums, 1/lambda)."""
+    with mp.workdps(120):
+        x = [mpf(float(v)) for v in lam]
+        n = len(x)
+        if mode == "continuous":
+            power = [mp.exp(v * mpf(horizon)) for v in x]
+            self_factor = [1 / v for v in x]
+            pair = [[abs((b - a) / (a + b)) for b in x] for a in x]
+        else:
+            k = int(horizon) if mode == "discrete" else -int(horizon)
+            power = [v ** k for v in x]
+            self_factor = [1 / (1 - v) for v in x]
+            pair = [[(b - a) / (1 - a * b) for b in x] for a in x]
+        full = (1 << n) - 1
+        phi, ups = [mpf(1)] * (full + 1), [mpf(1)] * (full + 1)
+        for mask in range(1, full + 1):
+            j = mask.bit_length() - 1
+            rest = mask ^ (1 << j)
+            p = phi[rest] * self_factor[j]
+            for i in range(j):
+                if rest >> i & 1:
+                    p *= pair[i][j]
+            phi[mask], ups[mask] = p, ups[rest] * power[j]
+        terms = []
+        for mask in range(full + 1):
+            members = [j + 1 for j in range(n) if mask >> j & 1]
+            sign = -1 if ((n + 1) * len(members) - sum(members)) % 2 else 1
+            terms.append(sign * ups[mask] * phi[mask] * phi[full ^ mask])
+        total = mp.fsum(terms)
+        return total, mp.fsum(abs(t) for t in terms) / abs(total)
+
+
+def _kernel_sum(lam, horizon, mode):
+    """The normalized sum through the public route of each mode."""
+    if mode == "discrete":
+        return analytic_volume_sum(lam, horizon)
+    if mode == "narrow":
+        return narrow_volume_analytic(EigenStructure.from_spectrum(lam), horizon).normalized_sum
+    model = ContinuousModel.from_spectrum(lam, np.ones(len(lam)), horizon)
+    return ct_volume_analytic(model).normalized_sum
+
+
+@st.composite
+def adversarial_cases(draw):
+    """A spectrum family, a mode and a horizon: evenly spaced, clustered,
+    near 1 and near-reciprocal spectra, n <= 12.  Continuous time takes the
+    family scaled onto (-3, 0)."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["even", "clustered", "near1", "reciprocal"]))
+    if kind == "even":
+        lo = draw(st.floats(0.02, 0.5))
+        lam = np.linspace(lo, draw(st.floats(lo + 0.01 * n, 0.98)), n)
+    elif kind == "clustered":
+        gap = draw(st.floats(0.005, 0.03))
+        lam = draw(st.floats(0.1, 0.9 - gap * n)) + gap * np.arange(n)
+    elif kind == "near1":
+        lam = 1.0 - np.logspace(-0.5, -draw(st.floats(1.0, 6.0)), n)
+    else:
+        lam = np.linspace(0.1, draw(st.floats(0.3, 0.8)), n)
+        if n > 1:  # the largest eigenvalue moves near the reciprocal of the next
+            lam[-1] = (1.0 + draw(st.floats(1e-4, 1e-2))) / lam[-2]
+    lam = np.sort(lam)
+    mode = draw(st.sampled_from(["discrete", "narrow", "continuous"]))
+    if mode == "continuous":
+        return np.sort(-3.0 * lam / lam[-1]), draw(st.floats(0.3, 3.0)), mode
+    return lam, draw(st.integers(n, 3 * n)), mode
+
+
+class TestKernelAccuracy:
+    @given(adversarial_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_against_120_digit_sum(self, case):
+        lam, horizon, mode = case
+        ref, cond = reference_sum(lam, horizon, mode)
+        assume(cond < 1e90)  # 120 digits resolve the reference itself
+        try:
+            value = _kernel_sum(lam, horizon, mode)
+        except SpectrumError as err:
+            # refused only past the cap, never in its stead a wrong value
+            assert err.classification is SpectrumClass.ILL_CONDITIONED
+            assert cond > 10.0 ** (MAX_DPS - GUARD_DIGITS - 1)
+            return
+        assert value == pytest.approx(float(ref), rel=1e-13)
+
+
+def _exact_float(v):
+    """The double nearest an mpf, by exact rational arithmetic (float() of an
+    mpf rounds twice in the subnormal range)."""
+    man, exp = v.man_exp
+    return math.copysign(float(Fraction(man) * Fraction(2) ** exp), v) if v else 0.0
+
+
+def _bit_cases():
+    """Seeded spectra of every mode, near the anchor and far out; discrete and
+    two discrete far requests have powers below 2^-969, one subnormal."""
+    rng = np.random.default_rng(71)
+    cases = []
+    for n in (4, 6, 8, 9, 10):
+        for far in (False, True):
+            lam = np.sort(rng.uniform(0.05, 0.95, n))
+            N = int(rng.integers(8 * n, 12 * n + 1) if far else rng.integers(n, 2 * n + 1))
+            cases.append((lam, N, "discrete"))
+            cases.append((np.sort(rng.uniform(0.45, 0.97, n)), N if not far else 2 * n,
+                          "narrow"))
+            ct = -np.sort(rng.uniform(0.2, 3.0, n))[::-1]
+            cases.append((ct, 2.0 * n if far else float(rng.uniform(2.0, 6.0)), "continuous"))
+    return cases
+
+
+class TestPrecisionPaths:
+    def test_double_double_bit_equal_to_40_digits(self):
+        dd = tiny = 0
+        for lam, horizon, mode in _bit_cases():
+            terms, total, precision = _expand(lam, horizon, mode)
+            if precision.cond >= COND_DD:
+                assert precision.path == "mpmath"
+                continue
+            assert precision.path == "double-double"
+            dd += 1
+            full = (1 << len(lam)) - 1
+            with mp.workdps(DEFAULT_DPS):
+                sign, ups, phi = _subset_tables(lam, horizon, mode)
+                masks = [sum(1 << (j - 1) for j in t.subset) for t in terms]
+                vals = [sign[m] * ups[m] * phi[m] * phi[full ^ m] for m in masks]
+                expected = [(t.subset, sign[m], _exact_float(ups[m]), _exact_float(phi[m]),
+                             _exact_float(phi[full ^ m]), _exact_float(v))
+                            for t, m, v in zip(terms, masks, vals)]
+                assert total == _exact_float(mp.fsum(vals))
+            assert [tuple(t) for t in terms] == expected
+            tiny += any(0.0 < t.power < 2.0 ** -969 for t in terms)
+        assert dd >= 20 and tiny >= 2
+
+    @pytest.mark.parametrize("N", [10, 10 ** 6])
+    def test_underflowing_powers_stay_double_double(self, N):
+        # lambda^N far below the double range at N = 10^6: still the fast path
+        rep = full_volume(EigenStructure.from_spectrum([0.5, 0.8]), N, "analytic")
+        assert rep.precision.path == "double-double"
+        assert rep.precision.dps == DD_DIGITS
+
+    def test_sixteen_evenly_spaced_at_the_anchor(self):
+        # cancels by 3.9e33: past double-double and past the old fixed 40
+        # digits, which gave an answer 5.9e-9 off
+        rep = full_volume(EigenStructure.from_spectrum(np.linspace(0.05, 0.95, 16)), 16,
+                          "analytic")
+        assert rep.precision.path == "mpmath"
+        assert rep.precision.dps >= 53
+        assert rep.precision.cond == pytest.approx(3.8846e33, rel=1e-4)
+        # reference_sum(np.linspace(0.05, 0.95, 16), 16, "discrete") at 120 digits
+        assert rep.normalized_sum == pytest.approx(2.1588097140842825635764e-70, rel=1e-13)
+
+    def test_above_the_cap_refused_by_name(self):
+        # at T = 1e-20 the terms cancel by far more than 10^MAX_DPS
+        model = ContinuousModel.from_spectrum([-2.0, -1.5, -1.0, -0.5], np.ones(4), 1e-20)
+        with pytest.raises(SpectrumError, match=f"cancels by .* at {MAX_DPS} digits") as err:
+            ct_volume_analytic(model)
+        assert err.value.classification is SpectrumClass.ILL_CONDITIONED
+
+    def test_every_expansion_report_says_its_precision(self):
+        eig = EigenStructure.from_spectrum([0.3, 0.6, 0.8])
+        neg = EigenStructure.from_spectrum([-0.8, -0.6, -0.3])
+        reports = [full_volume(eig, 5, "analytic"), full_volume(neg, 5, "auto"),
+                   narrow_volume_analytic(eig, 5),
+                   ct_volume_analytic(ContinuousModel.from_spectrum([-2.0, -1.0], [1, 1], 1.5))]
+        for rep in reports:
+            assert rep.precision.path == "double-double"
+            assert 1.0 <= rep.precision.cond < COND_DD
+        assert full_volume(eig, 5, "recursive").precision is None
+        assert full_volume(eig, 2, "analytic").precision is None  # flat region

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
-from reachvol.cli import main
+from reachvol.analytic import full_volume
+from reachvol.cli import _report_json, _to_json, main
+from reachvol.model import EigenStructure
 from reachvol.zonotope import determinant_count
 
 
@@ -122,6 +124,15 @@ class TestVolumeCommand:
         assert json.loads(out)["volume"] == pytest.approx(
             2 * (1 - math.exp(-1.0)), rel=1e-2)
 
+    def test_cancellation_past_the_cap_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "ct4.json"
+        path.write_text('{"lambda": [-2.0, -1.5, -1.0, -0.5], "beta": [1, 1, 1, 1]}')
+        code, out, err = run(capsys, "volume", "--model", str(path),
+                             "--T", "1e-20", "--mode", "continuous")
+        assert (code, out) == (2, "")
+        assert err.startswith("reachvol: domain error: IllConditioned: "
+                              "the subset expansion cancels by ")
+
     def test_csv_format(self, capsys, diag_model):
         code, out, _ = run(capsys, "volume", "--model", diag_model, "--N", "2",
                            "--format", "csv")
@@ -135,6 +146,27 @@ class TestVolumeCommand:
         _, out1, _ = run(capsys, "volume", "--model", diag_model, "--N", "7")
         _, out2, _ = run(capsys, "volume", "--model", diag_model, "--N", "7")
         assert out1 == out2
+
+
+class TestReportWriter:
+    """The flat term writer against the recursive _to_json walk it replaced."""
+
+    @staticmethod
+    def recursive(report):
+        return _to_json({
+            "volume": report.volume, "normalized_sum": report.normalized_sum,
+            "route": report.route, "spectrum": str(report.spectrum),
+            "warnings": list(report.warnings),
+            "terms": [{"subset": list(t.subset), "sign": t.sign, "power": t.power,
+                       "dist_in": t.dist_in, "dist_out": t.dist_out, "value": t.value}
+                      for t in report.terms]})
+
+    @pytest.mark.parametrize("lam,N", [([0.5], 1), ([0.3, 0.6, 0.9], 5),
+                                       ([0.05, 0.2, 0.4, 0.6, 0.8, 0.95], 90),
+                                       ([1.5, 2.0, 3.0], 700)])  # last: inf powers, null
+    def test_same_text_as_recursive_walk(self, lam, N):
+        report = full_volume(EigenStructure.from_spectrum(lam), N, "analytic")
+        assert _report_json(report) == self.recursive(report)
 
 
 class TestFactorsCommand:
@@ -274,6 +306,14 @@ class TestUsageErrors:
     # each subcommand takes only the flags it reads; a valid call plus one more
     VALID_CALLS = {"volume": ["--N", "2"], "factors": ["--N", "2"], "sweep": ["--N", "3"],
                    "bench": ["--N", "8", "--trials", "1"], "check": ["--trials", "2"]}
+
+    def test_repeated_calls_same_bytes(self, capsys, diag_model):
+        # the parser is built once per process; nothing of one call leaks into the next
+        calls = [["--version"], ["volume", "--model", diag_model, "--N", "2", "--bogus"],
+                 ["volume", "--N", "2"], ["volume", "--model", diag_model, "--N", "2"]]
+        first = [run(capsys, *argv) for argv in calls]
+        assert [run(capsys, *argv) for argv in calls] == first
+        assert [code for code, _, _ in first] == [0, 1, 1, 0]
 
     @pytest.mark.parametrize("command,flag", [
         ("volume", ["--seed", "1"]), ("volume", ["--trials", "3"]),
