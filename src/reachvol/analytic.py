@@ -173,7 +173,7 @@ _FACTOR_FORMS = {
 }
 
 
-def distribution_factor(lambdas, mode="discrete_positive", *, eps_sing=None):
+def distribution_factor(lambdas, mode="discrete_positive"):
     """Product of pairwise and per-eigenvalue distribution factors.
 
     Pairwise factors couple every ordered pair (i < k) of the given
@@ -192,10 +192,9 @@ def distribution_factor(lambdas, mode="discrete_positive", *, eps_sing=None):
     Raises
     ------
     SingularFactorError
-        If any denominator is within eps_sing of zero; the message names
+        If any denominator is within EPS_SING of zero; the message names
         the offending eigenvalue or pair.
     """
-    eps = EPS_SING if eps_sing is None else eps_sing
     lam = [float(x) for x in np.asarray(lambdas, dtype=float).ravel()]
     if mode not in _FACTOR_FORMS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -204,7 +203,7 @@ def distribution_factor(lambdas, mode="discrete_positive", *, eps_sing=None):
     for i in range(len(lam)):
         for k in range(i + 1, len(lam)):
             den = pair_den(lam[i], lam[k])
-            if abs(den) < eps:
+            if abs(den) < EPS_SING:
                 raise SingularFactorError(
                     f"pair (lambda_{i + 1}={lam[i]}, lambda_{k + 1}={lam[k]}) "
                     f"makes a pairwise denominator vanish"
@@ -215,7 +214,7 @@ def distribution_factor(lambdas, mode="discrete_positive", *, eps_sing=None):
     out = pair
     for i, x in enumerate(lam):
         den = self_den(x)
-        if abs(den) < eps:
+        if abs(den) < EPS_SING:
             raise SingularFactorError(
                 f"lambda_{i + 1}={x} makes a per-eigenvalue denominator vanish"
             )
@@ -323,7 +322,7 @@ def _recursion_tables(n):
     return dst, src, col, layers, pairs
 
 
-def recursive_volume_sum(lambdas, N, *, eps_distinct=None):
+def recursive_volume_sum(lambdas, N):
     """Normalized volume sum V_N by the O(2^n N) deletion recursion.
 
     Seeds: V_N for a single eigenvalue accumulates the geometric series
@@ -358,12 +357,11 @@ def recursive_volume_sum(lambdas, N, *, eps_distinct=None):
     -------
     float
     """
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
     lam_arr = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_sorted_spectrum(lam_arr)
     n = lam_arr.size
     radius = max(float(np.max(np.abs(lam_arr))), 1.0)
-    if n > 1 and np.min(np.diff(lam_arr)) < eps_d * radius:
+    if n > 1 and np.min(np.diff(lam_arr)) < EPS_DISTINCT * radius:
         raise SpectrumError(SpectrumClass.DEGENERATE, "recursion needs distinct eigenvalues")
     N = int(N)
     if N < n:
@@ -662,13 +660,11 @@ def _expand(lam, horizon, mode):
         dps = min(need, MAX_DPS)
 
 
-def _expansion_input(lambdas, N, eps_distinct, eps_sing, what="the analytic expansion"):
+def _expansion_input(lambdas, N, what="the analytic expansion"):
     """The spectrum as an array, once it meets the expansion's hypotheses and N >= n."""
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
-    eps_s = EPS_SING if eps_sing is None else eps_sing
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_sorted_spectrum(lam)
-    cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
+    cls = classify_spectrum(lam, "discrete")
     if cls is not SpectrumClass.ALL_POSITIVE_DISTINCT:
         raise SpectrumError(cls, f"{what} requires 0 < lambda_1 < ... < lambda_n "
                                  f"with no factor denominator near zero")
@@ -688,7 +684,7 @@ def _expansion_report(eig, lam, horizon, mode, spectrum, warnings=()):
                         warnings=tuple(warnings), precision=precision)
 
 
-def analytic_volume_sum(lambdas, N, *, eps_distinct=None, eps_sing=None):
+def analytic_volume_sum(lambdas, N):
     """Normalized volume sum V_N by the closed-form subset expansion.
 
     Sums, over all 2^n subsets of the spectrum, sign * power * dist_in *
@@ -702,22 +698,21 @@ def analytic_volume_sum(lambdas, N, *, eps_distinct=None, eps_sing=None):
         Carrying the failing SpectrumClass when a hypothesis does not hold;
         callers may fall back to the recursive or direct route.
     """
-    lam = _expansion_input(lambdas, N, eps_distinct, eps_sing)
+    lam = _expansion_input(lambdas, N)
     return _expand(lam, N, "discrete")[1]
 
 
-def analytic_volume_terms(lambdas, N, *, eps_distinct=None, eps_sing=None):
+def analytic_volume_terms(lambdas, N):
     """Subset-term breakdown of :func:`analytic_volume_sum`.
 
     Returns the 2^n terms in deterministic order (size, then lex); their
     exact sum is the value analytic_volume_sum returns.
     """
-    lam = _expansion_input(lambdas, N, eps_distinct, eps_sing)
+    lam = _expansion_input(lambdas, N)
     return list(_expand(lam, N, "discrete")[0])
 
 
-def analytic_volume_sum_grouped(lambdas, N, form="factored", *, eps_distinct=None,
-                                eps_sing=None):
+def analytic_volume_sum_grouped(lambdas, N, form="factored"):
     """V_N via the regrouped prints of the expansion.
 
     form "complement" swaps each subset's sign and power factor for the
@@ -730,7 +725,7 @@ def analytic_volume_sum_grouped(lambdas, N, form="factored", *, eps_distinct=Non
     """
     if form not in ("complement", "factored"):
         raise ValueError(f"unknown form {form!r}")
-    lam = _expansion_input(lambdas, N, eps_distinct, eps_sing)
+    lam = _expansion_input(lambdas, N)
     n = lam.size
     full = (1 << n) - 1
     with mp.workdps(DEFAULT_DPS):
@@ -754,7 +749,7 @@ def analytic_volume_sum_grouped(lambdas, N, form="factored", *, eps_distinct=Non
         return float(total)
 
 
-def infinite_volume_sum(lambdas, *, eps_sing=None, eps_distinct=None):
+def infinite_volume_sum(lambdas):
     """Normalized volume of the infinite-horizon reachable region.
 
     For a distinct same-sign spectrum strictly inside the unit circle this
@@ -764,26 +759,20 @@ def infinite_volume_sum(lambdas, *, eps_sing=None, eps_distinct=None):
     non-empty subset terms of :func:`analytic_volume_terms`:
     |V_N - V_inf| <= (sum over S != {} of |dist_in * dist_out|) * max|lambda|**N.
     """
-    eps_s = EPS_SING if eps_sing is None else eps_sing
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_sorted_spectrum(lam)
     if np.max(np.abs(lam)) >= 1.0:
         raise UnboundedRegionError("infinite-time region unbounded")
-    cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
+    cls = classify_spectrum(lam, "discrete")
     if cls in (SpectrumClass.DEGENERATE, SpectrumClass.MIXED_SIGN):
         raise SpectrumError(cls, "infinite-horizon formula needs distinct same-sign eigenvalues")
-    if np.any(1.0 - np.abs(lam) < eps_s):
+    if np.any(1.0 - np.abs(lam) < EPS_SING):
         raise SingularFactorError("an eigenvalue magnitude is within tolerance of 1")
     mode = "discrete_negative_abs" if lam[0] < 0.0 else "discrete_positive"
-    return float(distribution_factor(lam, mode, eps_sing=eps_s))
+    return float(distribution_factor(lam, mode))
 
 
-def _phi_float(vals, eps):
-    return distribution_factor(vals, "discrete_positive", eps_sing=eps)
-
-
-def deletion_identity_residual(lambdas, *, eps_sing=None):
+def deletion_identity_residual(lambdas):
     """Left-minus-right residual of the one-eigenvalue-deletion identity.
 
     The identity: (1 - prod(lambda)) * Phi(full spectrum) equals the
@@ -792,22 +781,21 @@ def deletion_identity_residual(lambdas, *, eps_sing=None):
     discrete distribution factor.  Exact algebraically; the residual
     measures floating-point evaluation only.
     """
-    eps = EPS_SING if eps_sing is None else eps_sing
     lam = [float(x) for x in np.atleast_1d(np.asarray(lambdas, dtype=float))]
     n = len(lam)
     if n < 1:
         raise ValueError("need at least one eigenvalue")
     ups_full = math.prod(lam)
-    lhs = (1.0 - ups_full) * _phi_float(lam, eps)
+    lhs = (1.0 - ups_full) * distribution_factor(lam)
     rhs_terms = []
     for k in range(1, n + 1):
         rest = lam[:k - 1] + lam[k:]
         ups = math.prod(rest) if rest else 1.0
-        rhs_terms.append((1.0 if (1 + k) % 2 == 0 else -1.0) * ups * _phi_float(rest, eps))
+        rhs_terms.append((1.0 if (1 + k) % 2 == 0 else -1.0) * ups * distribution_factor(rest))
     return lhs - math.fsum(rhs_terms)
 
 
-def substitution_identity_residuals(lambdas, i, j, *, members=None, eps_sing=None):
+def substitution_identity_residuals(lambdas, i, j, *, members=None):
     """Residuals of the three substitution limits of the distribution factor.
 
     `lambdas` is the ambient spectrum (strictly ascending); `members` picks
@@ -826,7 +814,6 @@ def substitution_identity_residuals(lambdas, i, j, *, members=None, eps_sing=Non
 
     Returns the triple of left-minus-right values, each ~0 up to rounding.
     """
-    eps = EPS_SING if eps_sing is None else eps_sing
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_sorted_spectrum(lam)
     n = lam.size
@@ -849,82 +836,82 @@ def substitution_identity_residuals(lambdas, i, j, *, members=None, eps_sing=Non
     # --- case 1: Phi at lambda_j := lambda_i --------------------------------
     x = float(lam[i - 1])
     if j not in members:
-        r1 = _phi_float(mem_vals, eps) - _phi_float(mem_vals, eps)
+        r1 = distribution_factor(mem_vals) - distribution_factor(mem_vals)
     elif i in members:
         subst = [x if k == j else vals[k] for k in members]
-        r1 = _phi_float(subst, eps) - 0.0
+        r1 = distribution_factor(subst) - 0.0
     else:
         s = pos(j)
         rest = [vals[k] for k in members if k != j]
-        lhs = _phi_float(rest, eps) / (1.0 - x)
+        lhs = distribution_factor(rest) / (1.0 - x)
         for q, k in enumerate(members, start=1):
             if k == j:
                 continue
             y = vals[k]
             den = 1.0 - x * y
-            if abs(den) < eps or abs(1.0 - x) < eps:
+            if abs(den) < EPS_SING or abs(1.0 - x) < EPS_SING:
                 raise SingularFactorError(
                     f"substitution point collides with lambda_{k} in case 1")
             lhs *= ((x - y) if q < s else (y - x)) / den
         h = sum(1 for k in members if k < i)
         new_set = sorted(rest + [x])
-        rhs = (1.0 if (s - h - 1) % 2 == 0 else -1.0) * _phi_float(new_set, eps)
+        rhs = (1.0 if (s - h - 1) % 2 == 0 else -1.0) * distribution_factor(new_set)
         r1 = lhs - rhs
 
     # --- case 2: (1 - lambda_i) * Phi at lambda_i := 1 ----------------------
     if i not in members:
-        r2 = 0.0 * _phi_float(mem_vals, eps)
+        r2 = 0.0 * distribution_factor(mem_vals)
     else:
         h = pos(i)
         rest = [vals[k] for k in members if k != i]
-        lhs = _phi_float(rest, eps)
+        lhs = distribution_factor(rest)
         for q, k in enumerate(members, start=1):
             if k == i:
                 continue
             y = vals[k]
             den = 1.0 - y  # 1 - y*x at x = 1
-            if abs(den) < eps:
+            if abs(den) < EPS_SING:
                 raise SingularFactorError(
                     f"substitution point collides with lambda_{k} in case 2")
             lhs *= ((1.0 - y) if q < h else (y - 1.0)) / den
-        rhs = (1.0 if (m - h) % 2 == 0 else -1.0) * _phi_float(rest, eps)
+        rhs = (1.0 if (m - h) % 2 == 0 else -1.0) * distribution_factor(rest)
         r2 = lhs - rhs
 
     # --- case 3: (1 - lambda_i lambda_j) * Phi at lambda_j := 1/lambda_i ----
-    if abs(x) < eps:
+    if abs(x) < EPS_SING:
         raise SingularFactorError("lambda_i near 0 is inadmissible in case 3")
     y_sub = 1.0 / x
     if i in members and j in members:
-        if abs(1.0 - x) < eps:
+        if abs(1.0 - x) < EPS_SING:
             raise SingularFactorError("lambda_i near 1 is inadmissible in case 3")
         h, s = pos(i), pos(j)
         rest = [vals[k] for k in members if k not in (i, j)]
-        lhs = (y_sub - x) * _phi_float(rest, eps) / ((1.0 - x) * (1.0 - y_sub))
+        lhs = (y_sub - x) * distribution_factor(rest) / ((1.0 - x) * (1.0 - y_sub))
         for q, k in enumerate(members, start=1):
             if k in (i, j):
                 continue
             y = vals[k]
             d1 = 1.0 - y * x
             d2 = 1.0 - y * y_sub
-            if abs(d1) < eps or abs(d2) < eps:
+            if abs(d1) < EPS_SING or abs(d2) < EPS_SING:
                 raise SingularFactorError(
                     f"substitution point collides with lambda_{k} in case 3")
             lhs *= ((x - y) if q < h else (y - x)) / d1
             lhs *= ((y_sub - y) if q < s else (y - y_sub)) / d2
         rhs = (1.0 if (s - h) % 2 == 0 else -1.0) * (1.0 + x) / (1.0 - x) \
-            * _phi_float(rest, eps)
+            * distribution_factor(rest)
         r3 = lhs - rhs
     else:
         subst = [y_sub if k == j else vals[k] for k in members]
-        r3 = (1.0 - x * y_sub) * _phi_float(subst, eps)
+        r3 = (1.0 - x * y_sub) * distribution_factor(subst)
 
     return (r1, r2, r3)
 
 
-def _ensure_eigen(system, eps_distinct=None):
+def _ensure_eigen(system):
     if isinstance(system, EigenStructure):
         return system
-    return diagonalize(system, eps_distinct=eps_distinct)
+    return diagonalize(system)
 
 
 def _ensure_model(system):
@@ -947,7 +934,7 @@ def _flat_report(route, spectrum=None):
                         warnings=("N < n: flat region, volume 0",))
 
 
-def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=None):
+def full_volume(system, N=None, route="auto"):
     """Volume of the N-step (or infinite-horizon) reachable region.
 
     Parameters
@@ -969,17 +956,15 @@ def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=Non
     """
     if route not in ("auto", "direct", "recursive", "analytic"):
         raise ValueError(f"unknown route {route!r}")
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
-    eps_s = EPS_SING if eps_sing is None else eps_sing
 
     infinite = N is None or (isinstance(N, float) and math.isinf(N))
     if infinite:
         if route in ("direct", "recursive"):
             raise ValueError(f"route {route!r} cannot evaluate an infinite horizon")
-        eig = _ensure_eigen(system, eps_d)
+        eig = _ensure_eigen(system)
         lam = eig.eigenvalues
-        cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
-        phi = infinite_volume_sum(lam, eps_sing=eps_s, eps_distinct=eps_d)
+        cls = classify_spectrum(lam, "discrete")
+        phi = infinite_volume_sum(lam)
         return VolumeReport(volume=eig.volume_prefactor * abs(phi), route="infinite",
                             normalized_sum=phi, spectrum=cls)
 
@@ -992,7 +977,7 @@ def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=Non
 
     warnings = []
     try:
-        eig = _ensure_eigen(system, eps_d)
+        eig = _ensure_eigen(system)
     except (SpectrumError, ValueError) as exc:
         if route == "auto":
             warnings.append(f"eigenvalue routes unavailable ({exc}); used direct route")
@@ -1001,7 +986,7 @@ def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=Non
 
     lam = eig.eigenvalues
     n = eig.n
-    cls = classify_spectrum(lam, "discrete", eps_distinct=eps_d, eps_sing=eps_s)
+    cls = classify_spectrum(lam, "discrete")
 
     if N < n:
         return _flat_report(route, cls)
@@ -1012,12 +997,12 @@ def full_volume(system, N=None, route="auto", *, eps_distinct=None, eps_sing=Non
         warnings.append("all-negative spectrum: evaluated on |lambda| sorted ascending")
 
     def recursive_report():
-        v = float(recursive_volume_sum(work, N, eps_distinct=eps_d))
+        v = float(recursive_volume_sum(work, N))
         return VolumeReport(volume=eig.volume_prefactor * abs(v), route="recursive",
                             normalized_sum=v, spectrum=cls, warnings=tuple(warnings))
 
     def analytic_report():
-        lam_work = _expansion_input(work, N, eps_d, eps_s)
+        lam_work = _expansion_input(work, N)
         return _expansion_report(eig, lam_work, N, "discrete", cls, warnings)
 
     if route == "recursive":

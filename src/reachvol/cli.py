@@ -164,8 +164,7 @@ def _report_json(report):
 def cmd_volume(args):
     system = _load(args.model)
     horizon = args.T if args.mode == "continuous" else args.N
-    report = volume(system, horizon, args.mode, args.route, dt=args.dt,
-                    eps_distinct=args.eps_distinct, eps_sing=args.eps_sing)
+    report = volume(system, horizon, args.mode, args.route, dt=args.dt)
     if args.format == "csv":
         _print_csv(["volume", "normalized_sum"],
                    [[report.volume,
@@ -191,8 +190,7 @@ def cmd_factors(args):
         mode, horizon = "finite", args.N
     else:
         mode, horizon = "infinite", None
-    rep = build_factor_report(eig, mode, horizon,
-                              eps_sing=args.eps_sing)
+    rep = build_factor_report(eig, mode, horizon)
     if args.format == "csv":
         rows = [[i + 1, float(eig.eigenvalues[i]), rep.F2[i], rep.F3[i], rep.F1]
                 for i in range(eig.n)]
@@ -220,16 +218,15 @@ def cmd_sweep(args):
     if args.N < n:
         raise SystemExit(_fail(EXIT_USAGE,
                                f"empty sweep range: --N {args.N} is below n={n}"))
-    eps = {"eps_distinct": args.eps_distinct, "eps_sing": args.eps_sing}
     phi_inf = None
     if args.mode == "discrete":
         try:
-            phi_inf = full_volume(system, None, "auto", **eps).normalized_sum
+            phi_inf = full_volume(system, None, "auto").normalized_sum
         except (SpectrumError, VolumeDomainError, ValueError):
             phi_inf = None
     rows = []
     for N in range(n, args.N + 1):
-        report = volume(system, N, args.mode, args.route, **eps)
+        report = volume(system, N, args.mode, args.route)
         vn = report.normalized_sum if report.normalized_sum is not None else float("nan")
         if phi_inf is not None:
             rows.append([N, vn, report.volume, phi_inf, vn - phi_inf])
@@ -278,10 +275,8 @@ def cmd_bench(args):
             t_direct = _median_time(lambda: symmetric_volume(P), trials)
         else:
             t_direct = float("nan")  # skipped: determinant budget exceeded
-        t_rec = _median_time(lambda: recursive_volume_sum(
-            lam, N, eps_distinct=args.eps_distinct), trials)
-        t_ana = _median_time(lambda: analytic_volume_sum(
-            lam, N, eps_distinct=args.eps_distinct, eps_sing=args.eps_sing), trials)
+        t_rec = _median_time(lambda: recursive_volume_sum(lam, N), trials)
+        t_ana = _median_time(lambda: analytic_volume_sum(lam, N), trials)
         rows.append([N, count, t_direct * 1e3, t_rec * 1e3, t_ana * 1e3])
     header = ["N", "det_count", "direct_ms", "recursive_ms", "analytic_ms"]
     if args.format == "json":
@@ -407,16 +402,14 @@ _FLAGS = {
     "--format": dict(choices=["json", "csv"]),
     "--seed": dict(type=int),
     "--trials": dict(type=int),
-    "--eps-distinct": dict(type=float),
-    "--eps-sing": dict(type=float),
 }
 
 # Per subcommand: its default output format and the flags its handler reads.
 _COMMANDS = {
-    "volume": ("json", "--model --N --T --dt --route --mode --format --eps-distinct --eps-sing"),
-    "factors": ("json", "--model --N --T --mode --format --eps-sing"),
-    "sweep": ("csv", "--model --N --route --mode --format --eps-distinct --eps-sing"),
-    "bench": ("csv", "--model --N --trials --format --eps-distinct --eps-sing"),
+    "volume": ("json", "--model --N --T --dt --route --mode --format"),
+    "factors": ("json", "--model --N --T --mode --format"),
+    "sweep": ("csv", "--model --N --route --mode --format"),
+    "bench": ("csv", "--model --N --trials --format"),
     "check": ("json", "--seed --trials --format"),
 }
 

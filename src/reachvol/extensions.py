@@ -40,12 +40,13 @@ from .analytic import (
     full_volume,
 )
 from .model import (
-    EPS_DISTINCT,
     EPS_SING,
+    EigenStructure,
     SpectrumClass,
     SpectrumError,
     StateSpaceModel,
     VolumeDomainError,
+    _nonsingular_det,
     classify_spectrum,
     diagonalize,
     narrow_generators,
@@ -76,38 +77,27 @@ class ContinuousModel:
     T: float
 
     def __post_init__(self):
-        A = np.asarray(self.A_c, dtype=float)
-        B = np.asarray(self.B_c, dtype=float)
-        if B.ndim == 1:
-            B = B.reshape(-1, 1)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A_c must be square, got {A.shape}")
-        if B.shape != (A.shape[0], 1):
-            raise ValueError(f"B_c must be a single column of length {A.shape[0]}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-            raise ValueError("continuous model matrices must be finite")
+        pair = StateSpaceModel(self.A_c, self.B_c)
+        if pair.r != 1:
+            raise ValueError(f"B_c must be a single column of length {pair.n}")
         T = float(self.T)
         if not (T >= 0.0 and math.isfinite(T)):
             raise ValueError(f"horizon T must be finite and >= 0, got {T}")
-        object.__setattr__(self, "A_c", A)
-        object.__setattr__(self, "B_c", B)
+        object.__setattr__(self, "A_c", pair.A)
+        object.__setattr__(self, "B_c", pair.B)
         object.__setattr__(self, "T", T)
 
     @classmethod
     def from_spectrum(cls, eigenvalues, modal_gains, T):
-        lam = np.asarray(eigenvalues, dtype=float).reshape(-1)
-        order = np.argsort(lam)
-        g = np.asarray(modal_gains, dtype=float).reshape(-1)
-        if g.size != lam.size:
-            raise ValueError("need one modal gain per eigenvalue")
-        return cls(np.diag(lam[order]), g[order].reshape(-1, 1), T)
+        eig = EigenStructure.from_spectrum(eigenvalues, modal_gains)
+        return cls(np.diag(eig.eigenvalues), eig.modal_gains, T)
 
     @property
     def n(self):
         return self.A_c.shape[0]
 
 
-def narrow_volume_analytic(system, N, *, eps_distinct=None, eps_sing=None):
+def narrow_volume_analytic(system, N):
     """Volume of the N-step narrow controllable region, closed form.
 
     Same subset expansion as the reachable region but with inverse
@@ -116,17 +106,15 @@ def narrow_volume_analytic(system, N, *, eps_distinct=None, eps_sing=None):
     bounded away from 0 and 1.  The signed normalized sum is reported as
     computed; the volume is its magnitude times the 2^n prefactor.
     """
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
-    eps_s = EPS_SING if eps_sing is None else eps_sing
-    eig = _ensure_eigen(system, eps_d)
+    eig = _ensure_eigen(system)
     lam = eig.eigenvalues
-    if np.any(np.abs(lam) < eps_s):
+    if np.any(np.abs(lam) < EPS_SING):
         raise VolumeDomainError("narrow region needs nonzero eigenvalues")
-    lam = _expansion_input(lam, int(N), eps_d, eps_s, "the narrow-region expansion")
+    lam = _expansion_input(lam, int(N), "the narrow-region expansion")
     return _expansion_report(eig, lam, N, "narrow", SpectrumClass.ALL_POSITIVE_DISTINCT)
 
 
-def negative_spectrum_volume(system, N, *, eps_distinct=None, eps_sing=None):
+def negative_spectrum_volume(system, N):
     """Volume of the N-step reachable region for an all-negative spectrum.
 
     Evaluated as the positive-path expansion over the eigenvalue moduli
@@ -141,17 +129,16 @@ def negative_spectrum_volume(system, N, *, eps_distinct=None, eps_sing=None):
     every eigenvalue is negative; a horizon 1 <= N < n gives its flat
     report.
     """
-    eig = _ensure_eigen(system, eps_distinct)
+    eig = _ensure_eigen(system)
     lam = eig.eigenvalues
     if not np.all(lam < 0.0):
-        cls = classify_spectrum(lam, "discrete", eps_distinct=eps_distinct,
-                                eps_sing=eps_sing)
+        cls = classify_spectrum(lam, "discrete")
         raise SpectrumError(cls, "negative-spectrum route requires lambda_i < 0 for all i")
-    return full_volume(eig, N, "analytic", eps_distinct=eps_distinct, eps_sing=eps_sing)
+    return full_volume(eig, N, "analytic")
 
 
-def _ct_validate(lam, eps_d, eps_s):
-    cls = classify_spectrum(lam, "continuous", eps_distinct=eps_d, eps_sing=eps_s)
+def _ct_validate(lam):
+    cls = classify_spectrum(lam, "continuous")
     if cls is SpectrumClass.COMPLEX:
         raise SpectrumError(cls, "continuous-time route needs a real spectrum")
     if cls is SpectrumClass.DEGENERATE:
@@ -162,7 +149,7 @@ def _ct_validate(lam, eps_d, eps_s):
     return cls
 
 
-def ct_volume_analytic(model, *, eps_distinct=None, eps_sing=None):
+def ct_volume_analytic(model):
     """Volume of the time-T continuous-time reachable region, closed form.
 
     Subset expansion with power factor prod exp(lambda T) over the subset
@@ -174,11 +161,9 @@ def ct_volume_analytic(model, *, eps_distinct=None, eps_sing=None):
     are negative; a warning is attached otherwise.  At T = 0 the region is
     the origin: volume 0, with no terms.
     """
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
-    eps_s = EPS_SING if eps_sing is None else eps_sing
-    eig = diagonalize(StateSpaceModel(model.A_c, model.B_c), eps_distinct=eps_d)
+    eig = diagonalize(StateSpaceModel(model.A_c, model.B_c))
     lam = eig.eigenvalues
-    cls = _ct_validate(lam, eps_d, eps_s)
+    cls = _ct_validate(lam)
     if model.T == 0.0:
         # every term is exactly cancelled: no relative precision resolves it
         return VolumeReport(volume=0.0, route="analytic", normalized_sum=0.0, spectrum=cls,
@@ -190,7 +175,7 @@ def ct_volume_analytic(model, *, eps_distinct=None, eps_sing=None):
     return _expansion_report(eig, lam, model.T, "continuous", cls, warnings)
 
 
-def ct_discretized_oracle(model, dt, *, max_terms=20_000_000, eps_distinct=None):
+def ct_discretized_oracle(model, dt, *, max_terms=20_000_000):
     """Brute-force volume of a left-endpoint Riemann cover of the CT region.
 
     Builds the generators exp(A_c k dt) B_c dt for k = 0 .. ceil(T/dt)-1
@@ -214,8 +199,7 @@ def ct_discretized_oracle(model, dt, *, max_terms=20_000_000, eps_distinct=None)
         raise ValueError(
             f"C({K},{n}) = {count} determinants exceeds the budget {max_terms}; "
             f"use a larger dt or a smaller state dimension")
-    eig = diagonalize(StateSpaceModel(model.A_c, model.B_c),
-                      eps_distinct=eps_distinct)
+    eig = diagonalize(StateSpaceModel(model.A_c, model.B_c))
     W = eig.left_vectors
     Winv = np.linalg.inv(W)
     step = Winv @ np.diag(np.exp(eig.eigenvalues * dt)) @ W
@@ -227,7 +211,7 @@ def ct_discretized_oracle(model, dt, *, max_terms=20_000_000, eps_distinct=None)
     return symmetric_volume(cols)
 
 
-def narrow_via_relation(model, N, route="auto", *, eps_distinct=None, eps_sing=None):
+def narrow_via_relation(model, N, route="auto"):
     """Narrow-region volume through the inverse-system identity.
 
     The narrow region of (A, B) is the image under A^-1 of the reachable
@@ -235,20 +219,12 @@ def narrow_via_relation(model, N, route="auto", *, eps_distinct=None, eps_sing=N
     volume; this routes the right-hand side through :func:`full_volume`
     as an independent second route for narrow volumes.
     """
-    eps_s = EPS_SING if eps_sing is None else eps_sing
-    A = model.A
-    scale = np.linalg.norm(A, 2)
-    det = np.linalg.det(A)
-    if scale == 0.0 or abs(det) <= eps_s * scale ** model.n:
-        raise VolumeDomainError("narrow region undefined for singular A")
-    inverse_model = StateSpaceModel(np.linalg.inv(A), model.B)
-    report = full_volume(inverse_model, N, route, eps_distinct=eps_distinct,
-                         eps_sing=eps_sing)
-    return report.volume / abs(det)
+    det = _nonsingular_det(model)
+    inverse_model = StateSpaceModel(np.linalg.inv(model.A), model.B)
+    return full_volume(inverse_model, N, route).volume / det
 
 
-def volume(system, horizon, mode="discrete", route="auto", *, dt=None,
-           eps_distinct=None, eps_sing=None):
+def volume(system, horizon, mode="discrete", route="auto", *, dt=None):
     """Volume of one region, by mode and route: the dispatcher behind the CLI.
 
     Parameters
@@ -275,7 +251,6 @@ def volume(system, horizon, mode="discrete", route="auto", *, dt=None,
     """
     if route not in ("auto", "direct", "recursive", "analytic"):
         raise ValueError(f"unknown route {route!r}")
-    eps = {"eps_distinct": eps_distinct, "eps_sing": eps_sing}
     if mode == "continuous":
         if horizon is None:
             raise ValueError("continuous mode needs --T")
@@ -288,7 +263,7 @@ def volume(system, horizon, mode="discrete", route="auto", *, dt=None,
         if route == "recursive":
             raise ValueError("no recursive route in continuous mode")
         if route == "auto":
-            cls = classify_spectrum(np.linalg.eigvals(cmodel.A_c), "continuous", **eps)
+            cls = classify_spectrum(np.linalg.eigvals(cmodel.A_c), "continuous")
             if cls in (SpectrumClass.ALL_POSITIVE_DISTINCT, SpectrumClass.MIXED_SIGN):
                 # the closed form answers here, but not with the region's volume
                 if dt is None:
@@ -299,32 +274,30 @@ def volume(system, horizon, mode="discrete", route="auto", *, dt=None,
                                     warnings=(f"spectrum class {cls}: the closed form needs "
                                               f"an all-negative spectrum; used the Riemann "
                                               f"oracle",))
-        return ct_volume_analytic(cmodel, **eps)
+        return ct_volume_analytic(cmodel)
     if mode not in ("discrete", "narrow", "negative"):
         raise ValueError(f"unknown mode {mode!r}")
     if horizon is None:
         if mode != "discrete":
             raise ValueError(f"{mode} mode needs --N")
         # the infinite horizon has no direct route; auto answers it
-        return full_volume(system, None, "auto" if route == "direct" else route, **eps)
+        return full_volume(system, None, "auto" if route == "direct" else route)
     N = horizon
     if mode == "discrete":
-        return full_volume(system, N, route, **eps)
+        return full_volume(system, N, route)
     if route in ("auto", "analytic") and 1 <= int(N) < system.n:
         return _flat_report(route)
     if mode == "negative":
-        if route == "direct":
-            return _direct_report(system, N)
-        if route == "recursive":
-            return full_volume(system, N, "recursive", **eps)
-        return negative_spectrum_volume(system, N, **eps)
+        if route in ("direct", "recursive"):
+            return full_volume(system, N, route)
+        return negative_spectrum_volume(system, N)
     if route == "direct":
         return _direct_report(system, N, generators=narrow_generators)
     if route == "recursive":
-        vol = narrow_via_relation(_ensure_model(system), N, "recursive", **eps)
+        vol = narrow_via_relation(_ensure_model(system), N, "recursive")
         return VolumeReport(volume=vol, route="recursive")
     try:
-        return narrow_volume_analytic(system, N, **eps)
+        return narrow_volume_analytic(system, N)
     except (SpectrumError, VolumeDomainError):
         if route == "analytic":
             raise

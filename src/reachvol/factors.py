@@ -46,14 +46,14 @@ class FactorReport:
     p_minus: tuple
 
 
-def _pair_value(a, b, mode, eps):
+def _pair_value(a, b, mode):
     den = _FACTOR_FORMS["discrete_positive" if mode == "discrete" else mode][0](a, b)
-    if abs(den) < eps:
+    if abs(den) < EPS_SING:
         return math.inf
     return abs((b - a) / den)
 
 
-def shape_factor(lambdas, mode="discrete", *, eps_sing=None):
+def shape_factor(lambdas, mode="discrete"):
     """Pole-distribution (eigenvalue evenness) factor.
 
     Partitions the spectrum at 1 (discrete) or at 0 (continuous) and
@@ -68,7 +68,6 @@ def shape_factor(lambdas, mode="discrete", *, eps_sing=None):
         If an eigenvalue sits on the partition threshold, or a pair inside
         one partition side has a vanishing denominator.
     """
-    eps = EPS_SING if eps_sing is None else eps_sing
     if mode not in ("discrete", "continuous"):
         raise ValueError(f"unknown mode {mode!r}")
     lam = [float(x) for x in np.asarray(lambdas, dtype=float).ravel()]
@@ -77,7 +76,7 @@ def shape_factor(lambdas, mode="discrete", *, eps_sing=None):
         raise ValueError("need at least one eigenvalue")
     thresh = 1.0 if mode == "discrete" else 0.0
     for i, x in enumerate(lam):
-        if abs(x - thresh) < eps:
+        if abs(x - thresh) < EPS_SING:
             raise SingularFactorError(
                 f"lambda_{i + 1}={x} lies on the partition threshold {thresh}")
     p_plus = tuple(i + 1 for i, x in enumerate(lam) if x > thresh)
@@ -86,7 +85,7 @@ def shape_factor(lambdas, mode="discrete", *, eps_sing=None):
     pairs = np.ones((n, n))
     for a in range(n):
         for b in range(a + 1, n):
-            v = _pair_value(lam[a], lam[b], mode, eps)
+            v = _pair_value(lam[a], lam[b], mode)
             pairs[a, b] = pairs[b, a] = v
 
     f1 = 1.0
@@ -102,7 +101,7 @@ def shape_factor(lambdas, mode="discrete", *, eps_sing=None):
     return f1, pairs, (p_plus, p_minus)
 
 
-def cross_factor(subset, complement, lambdas, *, eps_sing=None):
+def cross_factor(subset, complement, lambdas):
     """Coupling factor between an eigenvalue subset and its complement.
 
     Product over all pairs (j in subset, k in complement) of
@@ -113,7 +112,6 @@ def cross_factor(subset, complement, lambdas, *, eps_sing=None):
 
     Raises on overlapping index sets or a vanishing denominator.
     """
-    eps = EPS_SING if eps_sing is None else eps_sing
     lam = [float(x) for x in np.asarray(lambdas, dtype=float).ravel()]
     n = len(lam)
     sub = tuple(int(x) for x in subset)
@@ -131,14 +129,14 @@ def cross_factor(subset, complement, lambdas, *, eps_sing=None):
             lo, hi = (j, k) if j < k else (k, j)
             den = lam[hi - 1] - lam[lo - 1]
             num = 1.0 - lam[j - 1] * lam[k - 1]
-            if abs(den) < eps:
+            if abs(den) < EPS_SING:
                 raise SingularFactorError(
                     f"pair (lambda_{j}, lambda_{k}) has coincident eigenvalues")
             out *= num / den
     return out
 
 
-def side_lengths(eig, mode, horizon=None, *, eps_sing=None):
+def side_lengths(eig, mode, horizon=None):
     """Circumscribed-rhombohedron side lengths per mode, by horizon kind.
 
     mode "finite" (steps N): |q_i b| * |1 - l_i**N| / |1 - l_i|
@@ -148,11 +146,10 @@ def side_lengths(eig, mode, horizon=None, *, eps_sing=None):
 
     Values are reported as magnitudes throughout.
     """
-    eps = EPS_SING if eps_sing is None else eps_sing
     lam = eig.eigenvalues
     gains = np.abs(eig.modal_gains)
     if mode == "infinite":
-        if np.any(np.abs(lam) >= 1.0 - eps):
+        if np.any(np.abs(lam) >= 1.0 - EPS_SING):
             raise VolumeDomainError(
                 "infinite-horizon side lengths need |lambda_i| < 1")
         return tuple(float(g / (1.0 - abs(x))) for g, x in zip(gains, lam))
@@ -160,21 +157,21 @@ def side_lengths(eig, mode, horizon=None, *, eps_sing=None):
         raise ValueError(f"mode {mode!r} needs a horizon")
     if mode == "finite":
         N = int(horizon)
-        if np.any(np.abs(1.0 - lam) < eps):
+        if np.any(np.abs(1.0 - lam) < EPS_SING):
             raise VolumeDomainError("finite side lengths undefined at lambda = 1")
         return tuple(float(g * abs(1.0 - x ** N) / abs(1.0 - x))
                      for g, x in zip(gains, lam))
     if mode == "narrow":
         N = int(horizon)
-        if np.any(np.abs(lam) < eps):
+        if np.any(np.abs(lam) < EPS_SING):
             raise VolumeDomainError("narrow side lengths undefined at lambda = 0")
-        if np.any(np.abs(1.0 - lam) < eps):
+        if np.any(np.abs(1.0 - lam) < EPS_SING):
             raise VolumeDomainError("narrow side lengths undefined at lambda = 1")
         return tuple(float(g * abs(1.0 - x ** (-N)) / abs(1.0 - x))
                      for g, x in zip(gains, lam))
     if mode == "continuous":
         T = float(horizon)
-        if np.any(np.abs(lam) < eps):
+        if np.any(np.abs(lam) < EPS_SING):
             raise VolumeDomainError("continuous side lengths undefined at lambda = 0")
         return tuple(float(g * abs(1.0 - math.exp(x * T)) / abs(x))
                      for g, x in zip(gains, lam))
@@ -192,7 +189,7 @@ def modal_controllability(eig):
     return tuple(float(abs(g)) for g in eig.modal_gains)
 
 
-def build_factor_report(eig, mode="discrete", horizon=None, *, eps_sing=None):
+def build_factor_report(eig, mode="discrete", horizon=None):
     """Assemble the full factor report for one system and horizon.
 
     `mode` here selects the side-length variant ("finite", "infinite",
@@ -200,9 +197,8 @@ def build_factor_report(eig, mode="discrete", horizon=None, *, eps_sing=None):
     form except under "continuous".
     """
     shape_mode = "continuous" if mode == "continuous" else "discrete"
-    f1, pairs, (p_plus, p_minus) = shape_factor(
-        eig.eigenvalues, shape_mode, eps_sing=eps_sing)
-    f2 = side_lengths(eig, mode, horizon, eps_sing=eps_sing)
+    f1, pairs, (p_plus, p_minus) = shape_factor(eig.eigenvalues, shape_mode)
+    f2 = side_lengths(eig, mode, horizon)
     f3 = modal_controllability(eig)
     return FactorReport(F1=f1, F1_pairs=pairs, F2=f2, F3=f3,
                         p_plus=p_plus, p_minus=p_minus)

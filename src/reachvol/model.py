@@ -32,9 +32,8 @@ __all__ = [
     "classify_spectrum",
 ]
 
-# Default tolerances.  EPS_DISTINCT and EPS_COMPLEX are relative to the
-# spectral radius (at least 1); EPS_SING is absolute.  Callers may override
-# eps_distinct and eps_sing; EPS_COMPLEX is fixed.
+# Tolerances of the domain checks.  EPS_DISTINCT and EPS_COMPLEX are
+# relative to the spectral radius (at least 1); EPS_SING is absolute.
 EPS_DISTINCT = 1e-8
 EPS_SING = 1e-10
 EPS_COMPLEX = 1e-10
@@ -234,22 +233,31 @@ def reachability_generators(model, N):
     return np.hstack(blocks)
 
 
-def narrow_generators(model, N, *, eps_sing=None):
+def _nonsingular_det(model):
+    """|det A|, or VolumeDomainError when A is singular to EPS_SING.
+
+    The determinant test is scaled by the matrix norm so the threshold is
+    size-independent.
+    """
+    A = model.A
+    scale = np.linalg.norm(A, 2)
+    det = abs(np.linalg.det(A))
+    if scale == 0.0 or det <= EPS_SING * scale ** model.n:
+        raise VolumeDomainError("narrow region undefined for singular A")
+    return det
+
+
+def narrow_generators(model, N):
     """Generators of the N-step narrow controllable (recovery) region.
 
     Returns [A^-N B, A^-(N-1) B, ..., A^-1 B], the generators of the set of
     states that bounded inputs can drive to the origin in N steps.  Requires
-    invertible A; the determinant test is scaled by the matrix norm so the
-    threshold is size-independent.
+    invertible A.
     """
-    eps = EPS_SING if eps_sing is None else eps_sing
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     A = model.A
-    scale = np.linalg.norm(A, 2)
-    det = abs(np.linalg.det(A))
-    if scale == 0.0 or det <= eps * scale ** model.n:
-        raise VolumeDomainError("narrow region undefined for singular A")
+    _nonsingular_det(model)
     lu_solve = np.linalg.solve
     blocks = [lu_solve(A, model.B)]  # A^-1 B
     for _ in range(int(N) - 1):
@@ -257,7 +265,7 @@ def narrow_generators(model, N, *, eps_sing=None):
     return np.hstack(blocks[::-1])
 
 
-def classify_spectrum(lambdas, mode="discrete", *, eps_distinct=None, eps_sing=None):
+def classify_spectrum(lambdas, mode="discrete"):
     """Classify a spectrum for the closed-form volume routes.
 
     Checks run in priority order Complex > Degenerate > NearSingularFactor >
@@ -268,8 +276,6 @@ def classify_spectrum(lambdas, mode="discrete", *, eps_distinct=None, eps_sing=N
     """
     if mode not in ("discrete", "continuous"):
         raise ValueError(f"unknown mode {mode!r}")
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
-    eps_s = EPS_SING if eps_sing is None else eps_sing
 
     arr = np.asarray(lambdas)
     if arr.size == 0:
@@ -282,20 +288,20 @@ def classify_spectrum(lambdas, mode="discrete", *, eps_distinct=None, eps_sing=N
     lam = np.sort(arr.astype(float))
     n = lam.size
 
-    if n > 1 and np.min(np.diff(lam)) < eps_d * max(radius, 1.0):
+    if n > 1 and np.min(np.diff(lam)) < EPS_DISTINCT * max(radius, 1.0):
         return SpectrumClass.DEGENERATE
 
     if mode == "discrete":
-        if np.any(np.abs(1.0 - lam) < eps_s):
+        if np.any(np.abs(1.0 - lam) < EPS_SING):
             return SpectrumClass.NEAR_SINGULAR_FACTOR
         prods = np.outer(lam, lam)[np.triu_indices(n, 1)]
-        if prods.size and np.any(np.abs(1.0 - prods) < eps_s):
+        if prods.size and np.any(np.abs(1.0 - prods) < EPS_SING):
             return SpectrumClass.NEAR_SINGULAR_FACTOR
     else:
-        if np.any(np.abs(lam) < eps_s):
+        if np.any(np.abs(lam) < EPS_SING):
             return SpectrumClass.NEAR_SINGULAR_FACTOR
         sums = np.add.outer(lam, lam)[np.triu_indices(n, 1)]
-        if sums.size and np.any(np.abs(sums) < eps_s):
+        if sums.size and np.any(np.abs(sums) < EPS_SING):
             return SpectrumClass.NEAR_SINGULAR_FACTOR
 
     if lam[0] > 0.0:
@@ -305,7 +311,7 @@ def classify_spectrum(lambdas, mode="discrete", *, eps_distinct=None, eps_sing=N
     return SpectrumClass.MIXED_SIGN
 
 
-def diagonalize(model, *, eps_distinct=None):
+def diagonalize(model):
     """Decompose a single-input model into spectral form.
 
     Left eigenvectors come from the eigendecomposition of A transposed;
@@ -322,7 +328,6 @@ def diagonalize(model, *, eps_distinct=None):
         Classification Complex for a genuinely complex pair, Degenerate
         for a repeated eigenvalue.
     """
-    eps_d = EPS_DISTINCT if eps_distinct is None else eps_distinct
     if model.r != 1:
         raise ValueError(
             f"diagonalize requires a single input column, got r={model.r}"
@@ -334,7 +339,7 @@ def diagonalize(model, *, eps_distinct=None):
     lam = w.real
     order = np.argsort(lam)
     lam = lam[order]
-    if lam.size > 1 and np.min(np.diff(lam)) < eps_d * radius:
+    if lam.size > 1 and np.min(np.diff(lam)) < EPS_DISTINCT * radius:
         raise SpectrumError(SpectrumClass.DEGENERATE, "repeated eigenvalue detected")
     W = np.real(v).T[order]
     W = W / np.linalg.norm(W, axis=1, keepdims=True)

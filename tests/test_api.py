@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,23 @@ def test_submodule_all_names_exist(layer):
     mod = importlib.import_module(f"reachvol.{layer}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("layer", SUBMODULES)
+def test_no_tolerance_parameters(layer):
+    # the domain checks read EPS_DISTINCT, EPS_SING and EPS_COMPLEX; no caller overrides them
+    mod = importlib.import_module(f"reachvol.{layer}")
+    offenders = []
+    for name in getattr(mod, "__all__", ()):
+        obj = getattr(mod, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # exception classes without a Python signature
+            continue
+        offenders += [f"{name}({p})" for p in params if p.startswith("eps")]
+    assert not offenders
 
 
 def test_tracer_tables_found():

@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from reachvol.analytic import full_volume
-from reachvol.cli import _report_json, _to_json, main
+from reachvol.cli import _COMMANDS, _report_json, _to_json, main
 from reachvol.model import EigenStructure
 from reachvol.zonotope import determinant_count
 
@@ -321,6 +323,9 @@ class TestUsageErrors:
         ("sweep", ["--T", "1"]), ("sweep", ["--dt", "0.1"]),
         ("bench", ["--mode", "narrow"]),
         ("check", ["--N", "3"]), ("check", ["--model", "m.json"]),
+        # the tolerances are fixed: no subcommand takes them
+        ("volume", ["--eps-sing", "1e-9"]), ("factors", ["--eps-sing", "1e-9"]),
+        ("sweep", ["--eps-distinct", "1e-8"]), ("bench", ["--eps-distinct", "1e-8"]),
     ], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"))
     def test_flag_of_another_subcommand_exit_1(self, capsys, diag_model, command, flag):
         model = [] if command == "check" else ["--model", diag_model]
@@ -328,6 +333,11 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert f"error: unrecognized arguments: {' '.join(flag)}" in err
+
+    def test_readme_flag_table_matches_parser(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` +\| `([^`]*)` \|$", readme, re.MULTILINE)
+        assert dict(rows) == {name: flags for name, (_, flags) in _COMMANDS.items()}
 
 
 # Dispatcher decisions per (model, mode, route, horizon): exit code, the
