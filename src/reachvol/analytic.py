@@ -35,14 +35,8 @@ calls for, up to MAX_DPS = 100 digits; a sum that needs more is refused
 with a SpectrumError of class IllConditioned.  Every output field is
 rounded once, subnormals included.  The report's Precision record names
 the path, cond and digits.  The recursion needs no divisions and runs in
-ordinary doubles.
-
-The recursion is vectorized over subset bitmasks.  Index tables built once
-per n hold one row per (mask, term): the mask's previous value, then one
-signed power times the value of the mask without member i, members in
-ascending order.  A step is one gather and one np.bincount, which adds a
-mask's rows in table order, so each sum rounds exactly as the scalar loop
-over masks and members did and the result is bit-identical to it.
+ordinary doubles, vectorized over subset bitmasks (see
+:func:`recursive_volume_sum`).
 """
 
 import math
@@ -56,7 +50,6 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .model import (
-    EPS_DISTINCT,
     EPS_SING,
     EigenStructure,
     SingularFactorError,
@@ -64,6 +57,7 @@ from .model import (
     SpectrumError,
     StateSpaceModel,
     UnboundedRegionError,
+    _real_ascending,
     classify_spectrum,
     diagonalize,
     reachability_generators,
@@ -99,6 +93,9 @@ DD_DIGITS = 32
 # that needs more is refused.
 GUARD_DIGITS = 20
 MAX_DPS = 100
+
+# The routes of every finite-horizon volume, in every mode that has them.
+ROUTES = ("auto", "direct", "recursive", "analytic")
 
 
 class SubsetTerm(NamedTuple):
@@ -360,9 +357,8 @@ def recursive_volume_sum(lambdas, N):
     lam_arr = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_sorted_spectrum(lam_arr)
     n = lam_arr.size
-    radius = max(float(np.max(np.abs(lam_arr))), 1.0)
-    if n > 1 and np.min(np.diff(lam_arr)) < EPS_DISTINCT * radius:
-        raise SpectrumError(SpectrumClass.DEGENERATE, "recursion needs distinct eigenvalues")
+    if _real_ascending(lam_arr)[2] is not None:
+        raise SpectrumError(SpectrumClass.DEGENERATE, "recursion requires distinct eigenvalues")
     N = int(N)
     if N < n:
         raise ValueError(f"N must be >= n={n}, got {N}")
@@ -660,11 +656,13 @@ def _expand(lam, horizon, mode):
         dps = min(need, MAX_DPS)
 
 
-def _expansion_input(lambdas, N, what="the analytic expansion"):
-    """The spectrum as an array, once it meets the expansion's hypotheses and N >= n."""
+def _expansion_input(lambdas, N, cls=None, what="the analytic expansion"):
+    """The spectrum as an array, once its discrete class `cls` (None: classify
+    here) meets the expansion's hypotheses and N >= n."""
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_sorted_spectrum(lam)
-    cls = classify_spectrum(lam, "discrete")
+    if cls is None:
+        cls = classify_spectrum(lam, "discrete")
     if cls is not SpectrumClass.ALL_POSITIVE_DISTINCT:
         raise SpectrumError(cls, f"{what} requires 0 < lambda_1 < ... < lambda_n "
                                  f"with no factor denominator near zero")
@@ -761,9 +759,13 @@ def infinite_volume_sum(lambdas):
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_sorted_spectrum(lam)
+    return _infinite_sum(lam, classify_spectrum(lam, "discrete"))
+
+
+def _infinite_sum(lam, cls):
+    """infinite_volume_sum of a checked ascending spectrum of class `cls`."""
     if np.max(np.abs(lam)) >= 1.0:
         raise UnboundedRegionError("infinite-time region unbounded")
-    cls = classify_spectrum(lam, "discrete")
     if cls in (SpectrumClass.DEGENERATE, SpectrumClass.MIXED_SIGN):
         raise SpectrumError(cls, "infinite-horizon formula needs distinct same-sign eigenvalues")
     if np.any(1.0 - np.abs(lam) < EPS_SING):
@@ -926,12 +928,21 @@ def _direct_report(system, N, warnings=(), generators=reachability_generators):
     return VolumeReport(volume=vol, route="direct", warnings=tuple(warnings))
 
 
-def _flat_report(route, spectrum=None):
-    """Report of a horizon below the dimension: fewer generators than
-    dimensions span a flat region, whatever the spectrum."""
+def _steps(N):
+    """The horizon N as an int, at least 1."""
+    N = int(N)
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    return N
+
+
+def _flat_report(system, N, route):
+    """The report of a flat region, or None: fewer generators (r N) than
+    dimensions (n) span volume 0, whatever the spectrum."""
+    if system.r * N >= system.n:
+        return None
     return VolumeReport(volume=0.0, route=route if route != "auto" else "analytic",
-                        normalized_sum=0.0, spectrum=spectrum,
-                        warnings=("N < n: flat region, volume 0",))
+                        normalized_sum=0.0, warnings=("N < n: flat region, volume 0",))
 
 
 def full_volume(system, N=None, route="auto"):
@@ -941,12 +952,14 @@ def full_volume(system, N=None, route="auto"):
     ----------
     system : StateSpaceModel or EigenStructure
     N : int, or None/inf for the infinite-horizon region
-    route : {"auto", "direct", "recursive", "analytic"}
-        "auto" picks the analytic expansion when its hypotheses hold, the
-        recursion when only a singular-factor check fails, and the exact
-        determinant sum otherwise.  All-negative distinct spectra use the
-        eigenvalue routes on the modulus spectrum (ascending |lambda|),
-        which generates the same region volume column for column.
+    route : one of ROUTES, {"auto", "direct", "recursive", "analytic"}
+        Every route but "direct" reports a flat region (r N < n) as volume
+        0 before any spectrum work, then diagonalizes and classifies once.
+        An all-negative spectrum is evaluated and classified on its moduli
+        sorted ascending, which span the same volume.  "auto" takes the
+        analytic expansion where its hypotheses hold, the recursion for a
+        same-sign NearSingularFactor spectrum, and the exact determinant
+        sum otherwise, also for a system it cannot diagonalize.
 
     Returns
     -------
@@ -954,75 +967,54 @@ def full_volume(system, N=None, route="auto"):
         With the route actually used, diagnostics, and (analytic route)
         the subset-term breakdown.
     """
-    if route not in ("auto", "direct", "recursive", "analytic"):
+    if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-
-    infinite = N is None or (isinstance(N, float) and math.isinf(N))
-    if infinite:
+    if N is None or (isinstance(N, float) and math.isinf(N)):
         if route in ("direct", "recursive"):
             raise ValueError(f"route {route!r} cannot evaluate an infinite horizon")
         eig = _ensure_eigen(system)
-        lam = eig.eigenvalues
-        cls = classify_spectrum(lam, "discrete")
-        phi = infinite_volume_sum(lam)
+        cls = classify_spectrum(eig.eigenvalues, "discrete")
+        phi = _infinite_sum(eig.eigenvalues, cls)
         return VolumeReport(volume=eig.volume_prefactor * abs(phi), route="infinite",
                             normalized_sum=phi, spectrum=cls)
-
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-
+    N = _steps(N)
     if route == "direct":
         return _direct_report(system, N)
+    return _flat_report(system, N, route) or _eigen_report(system, N, route)
 
-    warnings = []
+
+def _eigen_report(system, N, route):
+    """full_volume on a route other than "direct", for a region that is not flat."""
     try:
         eig = _ensure_eigen(system)
     except (SpectrumError, ValueError) as exc:
-        if route == "auto":
-            warnings.append(f"eigenvalue routes unavailable ({exc}); used direct route")
-            return _direct_report(system, N, warnings)
-        raise
-
+        if route != "auto":
+            raise
+        return _direct_report(system, N, (f"eigenvalue routes unavailable ({exc}); "
+                                          f"used direct route",))
     lam = eig.eigenvalues
-    n = eig.n
-    cls = classify_spectrum(lam, "discrete")
-
-    if N < n:
-        return _flat_report(route, cls)
-
     negative = bool(np.all(lam < 0.0))
     work = np.sort(np.abs(lam)) if negative else lam
+    cls = spectrum = classify_spectrum(work, "discrete")
+    warnings = []
     if negative:
         warnings.append("all-negative spectrum: evaluated on |lambda| sorted ascending")
-
-    def recursive_report():
-        v = float(recursive_volume_sum(work, N))
-        return VolumeReport(volume=eig.volume_prefactor * abs(v), route="recursive",
-                            normalized_sum=v, spectrum=cls, warnings=tuple(warnings))
-
-    def analytic_report():
-        lam_work = _expansion_input(work, N)
-        return _expansion_report(eig, lam_work, N, "discrete", cls, warnings)
-
-    if route == "recursive":
-        if cls is SpectrumClass.MIXED_SIGN:
-            raise SpectrumError(cls, "recursion requires a same-sign spectrum")
-        if cls is SpectrumClass.DEGENERATE:
-            raise SpectrumError(cls, "recursion requires distinct eigenvalues")
-        return recursive_report()
-
-    if route == "analytic":
-        return analytic_report()
-
-    # auto
-    if cls in (SpectrumClass.ALL_POSITIVE_DISTINCT, SpectrumClass.ALL_NEGATIVE_DISTINCT):
-        return analytic_report()
-    if cls is SpectrumClass.NEAR_SINGULAR_FACTOR:
-        if np.all(lam > 0.0) or negative:
-            warnings.append("analytic route refused (NearSingularFactor); used recursion")
-            return recursive_report()
-        warnings.append("NearSingularFactor on a mixed-sign spectrum; used direct route")
-        return _direct_report(system, N, warnings)
-    warnings.append(f"spectrum class {cls}; used direct route")
-    return _direct_report(system, N, warnings)
+        if cls is SpectrumClass.ALL_POSITIVE_DISTINCT:
+            spectrum = SpectrumClass.ALL_NEGATIVE_DISTINCT
+    if route == "analytic" or (route == "auto" and cls is SpectrumClass.ALL_POSITIVE_DISTINCT):
+        return _expansion_report(eig, _expansion_input(work, N, cls), N, "discrete",
+                                 spectrum, warnings)
+    if route == "recursive" and cls is SpectrumClass.MIXED_SIGN:
+        raise SpectrumError(cls, "recursion requires a same-sign spectrum")
+    if route == "auto":
+        # the recursion needs no factor division, the determinant sum nothing
+        if cls is not SpectrumClass.NEAR_SINGULAR_FACTOR:
+            warnings.append(f"spectrum class {cls}; used direct route")
+            return _direct_report(system, N, warnings)
+        if not np.all(work > 0.0):
+            warnings.append("NearSingularFactor on a mixed-sign spectrum; used direct route")
+            return _direct_report(system, N, warnings)
+        warnings.append("analytic route refused (NearSingularFactor); used recursion")
+    v = float(recursive_volume_sum(work, N))
+    return VolumeReport(volume=eig.volume_prefactor * abs(v), route="recursive",
+                        normalized_sum=v, spectrum=spectrum, warnings=tuple(warnings))

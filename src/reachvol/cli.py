@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
+    ROUTES,
     analytic_volume_sum,
     analytic_volume_sum_grouped,
     deletion_identity_residual,
@@ -30,7 +31,7 @@ from .analytic import (
     recursive_volume_sum,
     substitution_identity_residuals,
 )
-from .extensions import volume
+from .extensions import MODES, volume
 from .factors import build_factor_report
 from .model import (
     EigenStructure,
@@ -396,9 +397,8 @@ _FLAGS = {
     "--N": dict(type=int, help="discrete horizon (steps)"),
     "--T": dict(type=float, help="continuous horizon (time)"),
     "--dt": dict(type=float, help="discretization step for the continuous direct route"),
-    "--route": dict(choices=["auto", "direct", "recursive", "analytic"], default="auto"),
-    "--mode": dict(choices=["discrete", "narrow", "negative", "continuous"],
-                   default="discrete"),
+    "--route": dict(choices=ROUTES, default="auto"),
+    "--mode": dict(choices=MODES, default="discrete"),
     "--format": dict(choices=["json", "csv"]),
     "--seed": dict(type=int),
     "--trials": dict(type=int),

@@ -13,30 +13,31 @@ Three generalizations of the reachable-region volume expansion:
   and the distribution factor uses pairwise sums and 1/lambda.
 
 The narrow and continuous-time closed forms are one call each to the
-subset-expansion kernel of :mod:`reachvol.analytic`, which takes the power
-and the factor formulas by mode; the all-negative one is the analytic
-route of :func:`reachvol.analytic.full_volume`, which evaluates every
-all-negative spectrum on its moduli.  Each is paired with an independent
-brute-force check: the narrow generators of the model definition, the
-plain reachability generators, and a left-endpoint Riemann discretization
-of the integral region, all fed through the exact determinant sum.
-:func:`volume` is the one dispatcher over modes and routes that the CLI
-calls.
+subset-expansion kernel of :mod:`reachvol.analytic`; the all-negative one
+is the analytic route of :func:`reachvol.analytic.full_volume`.  Each has
+an independent brute-force check through the exact determinant sum: the
+narrow generators, the reachability generators, and a left-endpoint
+Riemann discretization of the integral region.  :func:`volume` is the one
+dispatcher over modes and routes that the CLI calls.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .analytic import (
+    ROUTES,
     VolumeReport,
     _direct_report,
+    _eigen_report,
     _ensure_eigen,
     _ensure_model,
     _expansion_input,
     _expansion_report,
     _flat_report,
+    _steps,
     full_volume,
 )
 from .model import (
@@ -62,6 +63,9 @@ __all__ = [
     "ct_discretized_oracle",
     "narrow_via_relation",
 ]
+
+MODES = ("discrete", "narrow", "negative", "continuous")  # the regions volume() answers
+ORACLE_MAX_TERMS = 20_000_000  # determinants the Riemann oracle may sum
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,16 @@ class ContinuousModel:
     def n(self):
         return self.A_c.shape[0]
 
+    @cached_property
+    def eigen(self):
+        """The spectral form of (A_c, B_c), decomposed once per model."""
+        return diagonalize(StateSpaceModel(self.A_c, self.B_c))
+
+    @cached_property
+    def spectrum(self):
+        """The continuous-time classification of the spectrum, once per model."""
+        return classify_spectrum(self.eigen.eigenvalues, "continuous")
+
 
 def narrow_volume_analytic(system, N):
     """Volume of the N-step narrow controllable region, closed form.
@@ -110,43 +124,27 @@ def narrow_volume_analytic(system, N):
     lam = eig.eigenvalues
     if np.any(np.abs(lam) < EPS_SING):
         raise VolumeDomainError("narrow region needs nonzero eigenvalues")
-    lam = _expansion_input(lam, int(N), "the narrow-region expansion")
+    lam = _expansion_input(lam, int(N), what="the narrow-region expansion")
     return _expansion_report(eig, lam, N, "narrow", SpectrumClass.ALL_POSITIVE_DISTINCT)
 
 
 def negative_spectrum_volume(system, N):
     """Volume of the N-step reachable region for an all-negative spectrum.
 
-    Evaluated as the positive-path expansion over the eigenvalue moduli
-    sorted ascending: in that order the power factor is prod |lambda|**N,
-    the pairwise distribution factors are the absolute pairwise couplings,
-    and the per-eigenvalue factors are 1/(1 + lambda).  Column-sign
-    flips of the generators cancel inside the absolute determinants, so
-    this equals the exact generator-matrix volume at every N.  Subset
-    indices in the term breakdown refer to the modulus-ascending order.
-
-    This is the analytic route of :func:`full_volume`, after a check that
-    every eigenvalue is negative; a horizon 1 <= N < n gives its flat
-    report.
+    The analytic route of :func:`full_volume` once every eigenvalue is
+    negative: the expansion over the moduli sorted ascending, whose
+    generators differ from the model's by column signs only.  Subset
+    indices in the term breakdown refer to that order.
     """
+    N = _steps(N)
+    if (flat := _flat_report(system, N, "analytic")) is not None:
+        return flat
     eig = _ensure_eigen(system)
     lam = eig.eigenvalues
     if not np.all(lam < 0.0):
         cls = classify_spectrum(lam, "discrete")
         raise SpectrumError(cls, "negative-spectrum route requires lambda_i < 0 for all i")
-    return full_volume(eig, N, "analytic")
-
-
-def _ct_validate(lam):
-    cls = classify_spectrum(lam, "continuous")
-    if cls is SpectrumClass.COMPLEX:
-        raise SpectrumError(cls, "continuous-time route needs a real spectrum")
-    if cls is SpectrumClass.DEGENERATE:
-        raise SpectrumError(cls, "continuous-time route needs distinct eigenvalues")
-    if cls is SpectrumClass.NEAR_SINGULAR_FACTOR:
-        raise SpectrumError(cls, "an eigenvalue or a pairwise sum is within "
-                                 "tolerance of zero")
-    return cls
+    return _eigen_report(eig, N, "analytic")
 
 
 def ct_volume_analytic(model):
@@ -161,9 +159,12 @@ def ct_volume_analytic(model):
     are negative; a warning is attached otherwise.  At T = 0 the region is
     the origin: volume 0, with no terms.
     """
-    eig = diagonalize(StateSpaceModel(model.A_c, model.B_c))
+    eig, cls = model.eigen, model.spectrum
+    # diagonalize has refused complex and repeated spectra already
+    if cls is SpectrumClass.NEAR_SINGULAR_FACTOR:
+        raise SpectrumError(cls, "an eigenvalue or a pairwise sum is within "
+                                 "tolerance of zero")
     lam = eig.eigenvalues
-    cls = _ct_validate(lam)
     if model.T == 0.0:
         # every term is exactly cancelled: no relative precision resolves it
         return VolumeReport(volume=0.0, route="analytic", normalized_sum=0.0, spectrum=cls,
@@ -175,7 +176,7 @@ def ct_volume_analytic(model):
     return _expansion_report(eig, lam, model.T, "continuous", cls, warnings)
 
 
-def ct_discretized_oracle(model, dt, *, max_terms=20_000_000):
+def ct_discretized_oracle(model, dt):
     """Brute-force volume of a left-endpoint Riemann cover of the CT region.
 
     Builds the generators exp(A_c k dt) B_c dt for k = 0 .. ceil(T/dt)-1
@@ -183,8 +184,8 @@ def ct_discretized_oracle(model, dt, *, max_terms=20_000_000):
     real-distinct-spectrum domain) and runs the exact determinant sum.
     Converges to the continuous region volume at first order in dt.
 
-    Raises ValueError when C(K, n) would exceed `max_terms`, with advice
-    to enlarge dt.
+    Raises ValueError when C(K, n) would exceed ORACLE_MAX_TERMS, with
+    advice to enlarge dt.
     """
     dt = float(dt)
     if not 0.0 < dt < model.T:
@@ -195,11 +196,11 @@ def ct_discretized_oracle(model, dt, *, max_terms=20_000_000):
     K = round(q) if abs(q - round(q)) <= 1e-9 * max(1.0, q) else math.ceil(q)
     n = model.n
     count = determinant_count(K, n) if K >= n else 0
-    if count > max_terms:
+    if count > ORACLE_MAX_TERMS:
         raise ValueError(
-            f"C({K},{n}) = {count} determinants exceeds the budget {max_terms}; "
+            f"C({K},{n}) = {count} determinants exceeds the budget {ORACLE_MAX_TERMS}; "
             f"use a larger dt or a smaller state dimension")
-    eig = diagonalize(StateSpaceModel(model.A_c, model.B_c))
+    eig = model.eigen
     W = eig.left_vectors
     Winv = np.linalg.inv(W)
     step = Winv @ np.diag(np.exp(eig.eigenvalues * dt)) @ W
@@ -232,73 +233,69 @@ def volume(system, horizon, mode="discrete", route="auto", *, dt=None):
     system : StateSpaceModel or EigenStructure
     horizon : steps N (None: infinite horizon, discrete mode only), or the
         time T in continuous mode
-    mode : {"discrete", "narrow", "negative", "continuous"}
+    mode : one of MODES, {"discrete", "narrow", "negative", "continuous"}
         reachable region, narrow controllable region, reachable region of
         an all-negative spectrum, continuous-time reachable region
-    route : {"auto", "direct", "recursive", "analytic"}
-        "auto" takes the closed form when its hypotheses hold; narrow
-        falls back to the generator oracle, discrete as :func:`full_volume`.
-        Continuous time has no recursion; its direct route is the Riemann
-        oracle with step `dt`, which "auto" also takes for a spectrum that
-        is not all negative (the closed form's value is not the region's
-        volume there); without `dt` it raises SpectrumError.
+    route : one of ROUTES, {"auto", "direct", "recursive", "analytic"}
 
-    A horizon 1 <= N < n spans a flat region: "auto" and "analytic" report
-    volume 0 in every discrete-time mode, before any spectrum check.
-
-    Raises ValueError for a missing horizon or dt and for a route the mode
-    does not have.
+    In discrete time every route but "direct" reports a flat region
+    (r N < n) as volume 0 before any spectrum work.  Each volume
+    diagonalizes and classifies once, and "auto" has one fallback per mode:
+    discrete, that of :func:`full_volume`; narrow, the generator oracle
+    whenever the closed form refuses or the system cannot be diagonalized;
+    negative, none; continuous, the Riemann oracle with step `dt` (the
+    "direct" route) for a spectrum that is not all negative, where the
+    closed form is not the region's volume, and SpectrumError without `dt`.
+    A missing horizon or dt, or a route the mode does not have (continuous
+    time has no recursion), raises ValueError.
     """
-    if route not in ("auto", "direct", "recursive", "analytic"):
+    if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "continuous":
         if horizon is None:
             raise ValueError("continuous mode needs --T")
         model = _ensure_model(system)
         cmodel = ContinuousModel(model.A, model.B, horizon)
-        if route == "direct":
-            if dt is None:
-                raise ValueError("direct continuous volumes need an explicit --dt")
-            return VolumeReport(volume=ct_discretized_oracle(cmodel, dt), route="direct")
         if route == "recursive":
             raise ValueError("no recursive route in continuous mode")
-        if route == "auto":
-            cls = classify_spectrum(np.linalg.eigvals(cmodel.A_c), "continuous")
-            if cls in (SpectrumClass.ALL_POSITIVE_DISTINCT, SpectrumClass.MIXED_SIGN):
-                # the closed form answers here, but not with the region's volume
-                if dt is None:
-                    raise SpectrumError(cls, "the continuous-time closed form needs an "
-                                             "all-negative spectrum; a step --dt selects "
-                                             "the Riemann oracle")
-                return VolumeReport(volume=ct_discretized_oracle(cmodel, dt), route="direct",
-                                    warnings=(f"spectrum class {cls}: the closed form needs "
-                                              f"an all-negative spectrum; used the Riemann "
-                                              f"oracle",))
-        return ct_volume_analytic(cmodel)
-    if mode not in ("discrete", "narrow", "negative"):
-        raise ValueError(f"unknown mode {mode!r}")
+        cls = cmodel.spectrum if route == "auto" else None
+        warnings = ()
+        if cls in (SpectrumClass.ALL_POSITIVE_DISTINCT, SpectrumClass.MIXED_SIGN):
+            # the closed form answers here, but not with the region's volume
+            if dt is None:
+                raise SpectrumError(cls, "the continuous-time closed form needs an "
+                                         "all-negative spectrum; a step --dt selects "
+                                         "the Riemann oracle")
+            warnings = (f"spectrum class {cls}: the closed form needs an all-negative "
+                        f"spectrum; used the Riemann oracle",)
+        elif route != "direct":
+            return ct_volume_analytic(cmodel)
+        if dt is None:
+            raise ValueError("direct continuous volumes need an explicit --dt")
+        return VolumeReport(volume=ct_discretized_oracle(cmodel, dt), route="direct",
+                            warnings=warnings)
     if horizon is None:
         if mode != "discrete":
             raise ValueError(f"{mode} mode needs --N")
         # the infinite horizon has no direct route; auto answers it
         return full_volume(system, None, "auto" if route == "direct" else route)
-    N = horizon
-    if mode == "discrete":
-        return full_volume(system, N, route)
-    if route in ("auto", "analytic") and 1 <= int(N) < system.n:
-        return _flat_report(route)
+    if mode == "discrete" or (mode == "negative" and route in ("direct", "recursive")):
+        return full_volume(system, horizon, route)
     if mode == "negative":
-        if route in ("direct", "recursive"):
-            return full_volume(system, N, route)
-        return negative_spectrum_volume(system, N)
+        return negative_spectrum_volume(system, horizon)
+    N = _steps(horizon)
     if route == "direct":
         return _direct_report(system, N, generators=narrow_generators)
+    if (flat := _flat_report(system, N, route)) is not None:
+        return flat
     if route == "recursive":
         vol = narrow_via_relation(_ensure_model(system), N, "recursive")
         return VolumeReport(volume=vol, route="recursive")
     try:
         return narrow_volume_analytic(system, N)
-    except (SpectrumError, VolumeDomainError):
+    except (SpectrumError, VolumeDomainError, ValueError):
         if route == "analytic":
             raise
         return _direct_report(system, N, ("analytic narrow route refused; "

@@ -168,6 +168,8 @@ class EigenStructure:
     def n(self):
         return self.eigenvalues.size
 
+    r = 1  # inputs: an eigenstructure describes a single-input model
+
     @property
     def det_inverse_abs(self):
         """|det(left_vectors^-1)|, the coordinate-change volume factor."""
@@ -265,6 +267,22 @@ def narrow_generators(model, N):
     return np.hstack(blocks[::-1])
 
 
+def _real_ascending(w):
+    """The complex and distinct tests: (real parts ascending, their order, defect),
+    defect COMPLEX, DEGENERATE or None.  Both tolerances are relative to the
+    spectral radius, at least 1."""
+    radius = max(float(np.max(np.abs(w))), 1.0)
+    if np.iscomplexobj(w):
+        if np.max(np.abs(w.imag)) > EPS_COMPLEX * radius:
+            return None, None, SpectrumClass.COMPLEX
+        w = w.real
+    order = np.argsort(w)
+    lam = w[order].astype(float)
+    if lam.size > 1 and np.min(np.diff(lam)) < EPS_DISTINCT * radius:
+        return lam, order, SpectrumClass.DEGENERATE
+    return lam, order, None
+
+
 def classify_spectrum(lambdas, mode="discrete"):
     """Classify a spectrum for the closed-form volume routes.
 
@@ -280,16 +298,10 @@ def classify_spectrum(lambdas, mode="discrete"):
     arr = np.asarray(lambdas)
     if arr.size == 0:
         raise ValueError("empty spectrum")
-    radius = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if np.iscomplexobj(arr):
-        if np.max(np.abs(arr.imag)) > EPS_COMPLEX * max(radius, 1.0):
-            return SpectrumClass.COMPLEX
-        arr = arr.real
-    lam = np.sort(arr.astype(float))
+    lam, _, defect = _real_ascending(arr)
+    if defect is not None:
+        return defect
     n = lam.size
-
-    if n > 1 and np.min(np.diff(lam)) < EPS_DISTINCT * max(radius, 1.0):
-        return SpectrumClass.DEGENERATE
 
     if mode == "discrete":
         if np.any(np.abs(1.0 - lam) < EPS_SING):
@@ -333,14 +345,11 @@ def diagonalize(model):
             f"diagonalize requires a single input column, got r={model.r}"
         )
     w, v = np.linalg.eig(model.A.T)
-    radius = max(float(np.max(np.abs(w))), 1.0)
-    if np.max(np.abs(w.imag)) > EPS_COMPLEX * radius:
-        raise SpectrumError(SpectrumClass.COMPLEX, "complex eigenvalue pair detected")
-    lam = w.real
-    order = np.argsort(lam)
-    lam = lam[order]
-    if lam.size > 1 and np.min(np.diff(lam)) < EPS_DISTINCT * radius:
-        raise SpectrumError(SpectrumClass.DEGENERATE, "repeated eigenvalue detected")
+    lam, order, defect = _real_ascending(w)
+    if defect is SpectrumClass.COMPLEX:
+        raise SpectrumError(defect, "complex eigenvalue pair detected")
+    if defect is SpectrumClass.DEGENERATE:
+        raise SpectrumError(defect, "repeated eigenvalue detected")
     W = np.real(v).T[order]
     W = W / np.linalg.norm(W, axis=1, keepdims=True)
     # canonical sign: largest-|entry| component positive, for reproducibility

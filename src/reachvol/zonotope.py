@@ -102,13 +102,13 @@ def _det_sum_dim3(Z):
     return partials
 
 
-def _det_sum_generic(Z, chunk):
+def _det_sum_generic(Z):
     n, m = Z.shape
     ZT = np.ascontiguousarray(Z.T)
     it = combinations(range(m), n)
     partials = []
     while True:
-        batch = list(islice(it, chunk))
+        batch = list(islice(it, _CHUNK))
         if not batch:
             break
         idx = np.asarray(batch, dtype=np.intp)
@@ -117,7 +117,7 @@ def _det_sum_generic(Z, chunk):
     return partials
 
 
-def unit_cube_volume(Z, *, chunk=_CHUNK):
+def unit_cube_volume(Z):
     """Exact volume of the zonotope with coefficients in [0, 1].
 
     Sums |det| over every n-column submatrix of Z.  Rank-deficient Z gives
@@ -130,8 +130,6 @@ def unit_cube_volume(Z, *, chunk=_CHUNK):
     ----------
     Z : array_like, shape (n, m)
         Generator matrix; columns are generators.
-    chunk : int, optional
-        Determinants per vectorized batch on the generic path.
 
     Returns
     -------
@@ -149,11 +147,11 @@ def unit_cube_volume(Z, *, chunk=_CHUNK):
     elif n == 3:
         partials = _det_sum_dim3(A)
     else:
-        partials = _det_sum_generic(A, chunk)
+        partials = _det_sum_generic(A)
     return math.fsum(partials)
 
 
-def symmetric_volume(Z, *, chunk=_CHUNK):
+def symmetric_volume(Z):
     """Volume of the zonotope with coefficients in [-1, 1].
 
     Each generator segment is twice as long as in the unit-cube convention,
@@ -161,4 +159,4 @@ def symmetric_volume(Z, *, chunk=_CHUNK):
     systems driven by inputs with ||u||_inf <= 1 use this convention.
     """
     A = _as_generator_matrix(Z)
-    return float(2.0 ** A.shape[0]) * unit_cube_volume(A, chunk=chunk)
+    return float(2.0 ** A.shape[0]) * unit_cube_volume(A)

@@ -288,7 +288,7 @@ def test_08_continuous_time_convergence():
                     f"linear decay {ratios_ok}, worst final rel {worst_final:.2e}")
 
 
-def test_09_complexity_separation():
+def test_09_complexity_separation(monkeypatch):
     """Analytic cost flat in N, recursive cost linear, direct counts exact."""
     lam = [0.5, 0.8]
     t_small = min(timeit.repeat(lambda: analytic_volume_sum(lam, 10),
@@ -304,18 +304,37 @@ def test_09_complexity_separation():
             lambda: recursive_volume_sum(lam3, N), number=3, repeat=7)))
     linear = all(b / a < 3.0 for a, b in zip(t_rec, t_rec[1:]))
 
+    # the same linearity as work: one np.bincount per step, over a row
+    # table whose length depends on n only
+    rows = {}
+    bincount = np.bincount
+
+    def counted(x, *args, **kwargs):
+        rows[N].append(len(x))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    for N in (1000, 2000, 4000):
+        rows[N] = []
+        recursive_volume_sum(lam3, N)
+    monkeypatch.undo()
+    work = all(len(r) == N for N, r in rows.items()) and \
+        len({length for r in rows.values() for length in r}) == 1
+
     counts_ok = all(
         determinant_count(N, 3) == math.factorial(N)
         // (math.factorial(N - 3) * math.factorial(3))
         for N in (8, 16, 32, 64)) and \
         [determinant_count(N, 3) for N in (8, 16, 32)] == [56, 560, 4960]
 
-    ok = flat and linear and counts_ok
+    ok = flat and linear and work and counts_ok
     assert _verdict(
         "09 complexity separation", ok,
         f"analytic 1e6/10 ratio {t_large / t_small:.2f}, "
         f"recursive doubling ratios "
-        f"{[round(b / a, 2) for a, b in zip(t_rec, t_rec[1:])]}, counts {counts_ok}")
+        f"{[round(b / a, 2) for a, b in zip(t_rec, t_rec[1:])]}, "
+        f"bincount calls {[len(r) for r in rows.values()]} over rows "
+        f"{sorted({length for r in rows.values() for length in r})}, counts {counts_ok}")
 
 
 def test_10_transform_scaling_and_prefactor_invariance():

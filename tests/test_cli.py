@@ -378,7 +378,7 @@ positive   narrow     direct    N5    0  direct    -
 positive   narrow     direct    N2    0  direct    -
 positive   narrow     direct    -     1  -         -
 positive   narrow     recursive N5    0  recursive -
-positive   narrow     recursive N2    0  recursive -
+positive   narrow     recursive N2    0  recursive FLAT
 positive   narrow     recursive -     1  -         -
 positive   narrow     analytic  N5    0  analytic  -
 positive   narrow     analytic  N2    0  analytic  FLAT
@@ -422,7 +422,7 @@ negative   narrow     direct    N5    0  direct    -
 negative   narrow     direct    N2    0  direct    -
 negative   narrow     direct    -     1  -         -
 negative   narrow     recursive N5    0  recursive -
-negative   narrow     recursive N2    0  recursive -
+negative   narrow     recursive N2    0  recursive FLAT
 negative   narrow     recursive -     1  -         -
 negative   narrow     analytic  N5    2  -         -
 negative   narrow     analytic  N2    0  analytic  FLAT
@@ -466,7 +466,7 @@ reciprocal narrow     direct    N5    0  direct    -
 reciprocal narrow     direct    N2    0  direct    -
 reciprocal narrow     direct    -     1  -         -
 reciprocal narrow     recursive N5    0  recursive -
-reciprocal narrow     recursive N2    0  recursive -
+reciprocal narrow     recursive N2    0  recursive FLAT
 reciprocal narrow     recursive -     1  -         -
 reciprocal narrow     analytic  N5    2  -         -
 reciprocal narrow     analytic  N2    0  analytic  FLAT

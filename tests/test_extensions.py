@@ -1,12 +1,15 @@
 """Narrow regions, negative spectra, and continuous time."""
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from reachvol import extensions
+from reachvol import model as reachvol_model
 from reachvol.analytic import full_volume, infinite_volume_sum
 from reachvol.extensions import (
     ContinuousModel,
@@ -19,6 +22,7 @@ from reachvol.extensions import (
 )
 from reachvol.model import (
     EigenStructure,
+    SpectrumClass,
     SpectrumError,
     StateSpaceModel,
     VolumeDomainError,
@@ -133,10 +137,11 @@ class TestContinuousTime:
         model = ContinuousModel.from_spectrum([-1.0, -2.0], [1.0, 1.0], 0.0)
         assert ct_volume_analytic(model).volume == pytest.approx(0.0, abs=1e-12)
 
-    def test_pair_against_fine_oracle(self):
+    def test_pair_against_fine_oracle(self, monkeypatch):
         model = ContinuousModel.from_spectrum([-2.0, -1.0], [1.0, 1.0], 2.0)
         rep = ct_volume_analytic(model)
-        oracle = ct_discretized_oracle(model, 1e-4, max_terms=250_000_000)
+        monkeypatch.setattr(extensions, "ORACLE_MAX_TERMS", 250_000_000)
+        oracle = ct_discretized_oracle(model, 1e-4)
         assert rep.volume == pytest.approx(oracle, rel=1e-3)
 
     def test_nonstable_spectrum_warns(self):
@@ -224,6 +229,109 @@ class TestVolumeDispatcher:
             assert rep.warnings == ("N < n: flat region, volume 0",)
 
 
+class TestDispatchRules:
+    """One flat rule, one classification and one auto fallback per mode."""
+
+    # n = 2, r = 2: one step already gives n generators
+    TWO_INPUT = StateSpaceModel(np.array([[0.5, 0.1], [0.0, 0.8]]), np.eye(2))
+    NARROW_ORACLE = "analytic narrow route refused; used generator oracle"
+
+    def test_two_input_narrow_auto_takes_generator_oracle(self):
+        for N, expected in ((1, 10.0), (3, 283.75)):
+            rep = volume(self.TWO_INPUT, N, "narrow")
+            direct = volume(self.TWO_INPUT, N, "narrow", "direct")
+            assert rep.volume == direct.volume == pytest.approx(expected, rel=1e-12)
+            assert (rep.route, rep.warnings) == ("direct", (self.NARROW_ORACLE,))
+
+    @pytest.mark.parametrize("mode,route,direct", [("narrow", "analytic", 10.0),
+                                                   ("negative", "auto", 4.0),
+                                                   ("negative", "analytic", 4.0)])
+    def test_two_input_one_step_is_not_flat(self, mode, route, direct):
+        # r N = n generators span a full-dimensional region; without a
+        # closed form for two inputs these refuse, as they do at N = n
+        assert volume(self.TWO_INPUT, 1, mode, "direct").volume == pytest.approx(direct)
+        for N in (1, 2):
+            with pytest.raises(ValueError, match="single input column"):
+                volume(self.TWO_INPUT, N, mode, route)
+
+    def test_unit_modulus_negative_spectrum_takes_recursion(self):
+        eig = EigenStructure.from_spectrum([-1.0, -0.5])
+        rep = volume(eig, 4)
+        assert (rep.route, rep.volume) == ("recursive", pytest.approx(11.5, rel=1e-12))
+        assert rep.volume == pytest.approx(volume(eig, 4, route="direct").volume, rel=1e-12)
+        assert rep.spectrum is SpectrumClass.NEAR_SINGULAR_FACTOR
+        assert rep.warnings == (
+            "all-negative spectrum: evaluated on |lambda| sorted ascending",
+            "analytic route refused (NearSingularFactor); used recursion")
+        assert volume(eig, 4, route="recursive").spectrum is SpectrumClass.NEAR_SINGULAR_FACTOR
+
+    @pytest.mark.parametrize("route", ["auto", "recursive", "analytic"])
+    def test_fewer_generators_than_dimensions_is_flat_whatever_the_model(self, route):
+        complex_pair = StateSpaceModel(
+            np.array([[0.0, -0.8, 0.0], [0.8, 0.0, 0.0], [0.0, 0.0, 0.5]]), np.ones((3, 1)))
+        two_input = StateSpaceModel(np.diag([0.5, 0.8, -0.4]),
+                                    np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        cases = [(complex_pair, 2, mode) for mode in ("discrete", "narrow", "negative")]
+        cases += [(two_input, 1, mode) for mode in ("discrete", "narrow", "negative")]
+        cases += [(EigenStructure.from_spectrum([0.3, 0.6, 0.9]), 2, "discrete"),
+                  (EigenStructure.from_spectrum([-0.9, -0.6, -0.3]), 2, "negative")]
+        for system, N, mode in cases:
+            rep = volume(system, N, mode, route)
+            assert (rep.volume, rep.spectrum) == (0.0, None), (mode, N)
+            assert rep.route == ("analytic" if route == "auto" else route)
+            assert rep.warnings == ("N < n: flat region, volume 0",)
+
+    @pytest.mark.parametrize("mode", ["narrow", "negative"])
+    @pytest.mark.parametrize("route", ["auto", "analytic"])
+    def test_nonpositive_horizon_is_refused_by_one_rule(self, mode, route):
+        for lam in ([0.3, 0.6, 0.9], [-0.9, -0.6, -0.3], [0.5, 0.7, 2.0]):
+            with pytest.raises(ValueError, match=r"N must be >= 1, got 0"):
+                volume(EigenStructure.from_spectrum(lam), 0, mode, route)
+
+
+def _count_spectral_work(monkeypatch):
+    """Counters of classify_spectrum (wrapped in every reachvol namespace, as
+    benchmark/tracer.py wraps it) and of numpy's eigendecompositions."""
+    counts = {"classify": 0, "eig": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    classify = reachvol_model.classify_spectrum
+    wrapped = counted("classify", classify)
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "reachvol" or name.startswith("reachvol.")):
+            for attr, value in list(vars(module).items()):
+                if value is classify:
+                    monkeypatch.setattr(module, attr, wrapped)
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eig", np.linalg.eigvals))
+    return counts
+
+
+@pytest.mark.parametrize("lam,horizon,mode,kwargs,route", [
+    ([0.3, 0.6, 0.9], 5, "discrete", {}, "analytic"),
+    ([0.5, 0.7, 2.0], 5, "discrete", {}, "recursive"),
+    ([-1.0, -0.6, -0.3], 5, "discrete", {}, "recursive"),
+    ([-0.9, -0.6, -0.3], 5, "negative", {}, "analytic"),
+    ([1.25, 1.6, 2.0], 5, "narrow", {}, "analytic"),
+    ([-2.0, -1.0, -0.5], 1.0, "continuous", {}, "analytic"),
+    ([-0.5, 0.3, 0.9], 1.0, "continuous", {"dt": 0.1}, "direct"),
+], ids=["discrete", "recursion-fallback", "recursion-moduli", "negative", "narrow",
+        "continuous", "continuous-oracle"])
+def test_one_classification_and_one_eigendecomposition_per_volume(
+        monkeypatch, lam, horizon, mode, kwargs, route):
+    model = random_single_input(np.random.default_rng(5), np.array(lam))
+    counts = _count_spectral_work(monkeypatch)
+    rep = volume(model, horizon, mode, **kwargs)
+    assert rep.route == route
+    assert counts["classify"] <= 1
+    assert counts["eig"] == 1
+
+
 class TestCtDiscretizedOracle:
     def test_scalar_riemann_sum(self):
         model = ContinuousModel.from_spectrum([-1.0], [1.0], 1.0)
@@ -244,10 +352,11 @@ class TestCtDiscretizedOracle:
         with pytest.raises(ValueError):
             ct_discretized_oracle(model, 0.0)
 
-    def test_budget_advice(self):
+    def test_budget_advice(self, monkeypatch):
         model = ContinuousModel.from_spectrum([-1.0, -2.0, -3.0], [1, 1, 1], 1.0)
+        monkeypatch.setattr(extensions, "ORACLE_MAX_TERMS", 1000)
         with pytest.raises(ValueError, match="larger dt"):
-            ct_discretized_oracle(model, 1e-4, max_terms=1000)
+            ct_discretized_oracle(model, 1e-4)
 
     def test_nondiagonal_model_matches_spectral_twin(self):
         rng = np.random.default_rng(43)

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from reachvol import zonotope
 from reachvol.zonotope import determinant_count, symmetric_volume, unit_cube_volume
 
 
@@ -59,11 +60,12 @@ class TestUnitCubeVolume:
         Z = rng.standard_normal((n, m))
         assert unit_cube_volume(Z) == pytest.approx(_brute_volume(Z), rel=1e-12)
 
-    def test_chunked_path_matches_unchunked(self):
+    def test_chunked_path_matches_unchunked(self, monkeypatch):
         rng = np.random.default_rng(7)
         Z = rng.standard_normal((4, 12))
-        assert unit_cube_volume(Z, chunk=17) == pytest.approx(
-            unit_cube_volume(Z), rel=1e-13)
+        unchunked = unit_cube_volume(Z)
+        monkeypatch.setattr(zonotope, "_CHUNK", 17)
+        assert unit_cube_volume(Z) == pytest.approx(unchunked, rel=1e-13)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
