@@ -5,7 +5,8 @@ volume V_N of the N-step reachable region (the spectrum-only part, before
 the 2^n coordinate/gain prefactor) admits three routes:
 
 * direct: the exact determinant sum over the n-by-N power matrix
-  [lambda_i^k] (see :mod:`reachvol.zonotope`), O(N^n) determinants;
+  [lambda_i^k] (see :mod:`reachvol.zonotope`), C(N, n - 2) prefix
+  eliminations and angle-sorted 2-D sums;
 * recursive: a dynamic program over deleted-eigenvalue subsequences,
   O(2^n N) arithmetic;
 * analytic: a 2^n-term expansion over eigenvalue subsets, each term a sign
