@@ -77,7 +77,7 @@ def _tree_facts(tree):
                             text=True).stdout.strip() or None
     lines = sum(len(p.read_text().splitlines())
                 for p in sorted((Path(tree) / "src" / "reachvol").glob("*.py")))
-    return {"path": str(tree), "commit": commit, "src_lines": lines,
+    return {"commit": commit, "src_lines": lines,
             "tier1": {"wall_s": wall, "exit": proc.returncode,
                       "summary": re.sub(r" in [\d.]+s.*", "", last.strip("= "))}}
 
