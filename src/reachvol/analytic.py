@@ -923,8 +923,10 @@ def _ensure_model(system):
     return system.to_model()
 
 
-def _direct_report(system, N, warnings=(), generators=reachability_generators):
-    """Exact determinant-sum report over the N generators `generators` builds."""
+def _direct_report(system, N, warnings=(), generators=None):
+    """Exact determinant-sum report over the N generators `generators` builds,
+    by default reachability_generators, looked up when called."""
+    generators = generators or reachability_generators
     vol = symmetric_volume(generators(_ensure_model(system), N))
     return VolumeReport(volume=vol, route="direct", warnings=tuple(warnings))
 

@@ -223,16 +223,27 @@ def load_model(source):
 def reachability_generators(model, N):
     """Generators of the N-step reachable region: [B, AB, ..., A^(N-1)B].
 
-    Built by repeated multiplication of the previous block by A; returns an
-    n x (r*N) matrix whose symmetric-coefficient zonotope is the set of
-    states reachable from the origin in N steps under ||u_k||_inf <= 1.
+    Built by doubling: with the first k blocks filled and P = A^k, one
+    product P @ [B, ..., A^(c-1)B], c = min(k, N - k), fills blocks k to
+    k + c - 1, and P is squared while blocks remain, so ceil(log2 N) block
+    products replace N - 1 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 18).  Returns a fresh n x (r*N) matrix whose
+    symmetric-coefficient zonotope is the set of states reachable from the
+    origin in N steps under ||u_k||_inf <= 1.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    blocks = [model.B]
-    for _ in range(int(N) - 1):
-        blocks.append(model.A @ blocks[-1])
-    return np.hstack(blocks)
+    N, (n, r) = int(N), model.B.shape
+    G = np.empty((n, r * N))
+    G[:, :r] = model.B
+    P, k = model.A, 1
+    while k < N:
+        c = min(k, N - k)
+        G[:, r * k:r * (k + c)] = P @ G[:, :r * c]
+        k += c
+        if k < N:
+            P = P @ P
+    return G
 
 
 def _nonsingular_det(model):

@@ -491,6 +491,22 @@ class TestFullVolume:
         direct = full_volume(m, 5, "direct").volume
         assert ana == pytest.approx(direct, rel=1e-9)
 
+    def test_direct_route_looks_up_generator_builder_when_called(self, monkeypatch):
+        # a wrapper bound to the module name after import must see the call
+        from reachvol import analytic
+        calls = []
+        builder = analytic.reachability_generators
+
+        def counted(model, N):
+            calls.append(N)
+            return builder(model, N)
+
+        monkeypatch.setattr(analytic, "reachability_generators", counted)
+        m = StateSpaceModel(np.diag([0.5, 0.8]), [[1.0], [1.0]])
+        full_volume(m, 6, "direct")
+        full_volume(EigenStructure.from_spectrum([-0.5, 0.5], [1.0, 1.0]), 5, "auto")
+        assert calls == [6, 5]
+
     def test_auto_falls_back_to_recursion_on_reciprocal_pair(self):
         eig = EigenStructure.from_spectrum([0.5, 2.0], [1.0, 1.0])
         rep = full_volume(eig, 6, "auto")

@@ -1,7 +1,12 @@
 """Model handling: generators, diagonalization, classification, transforms."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachvol.model import (
     EigenStructure,
@@ -67,6 +72,109 @@ class TestReachabilityGenerators:
         P = reachability_generators(m, 3)
         assert P.shape == (3, 6)
         assert np.allclose(P[:, 4:6], m.A @ m.A @ m.B)
+
+
+@st.composite
+def _power_cases(draw):
+    """(model, N, cond): A = V M V^-1 with M a block of rotations or a real
+    diagonal of spectral radius rho in [0.3, 1.05], and V of condition
+    number cond in [1, 1e3]; N is 1, 2, 3, a power of two, one past it, or
+    any horizon up to 600."""
+    n, r = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    k = draw(st.integers(1, 9))
+    N = draw(st.one_of(st.sampled_from([1, 2, 3, 2 ** k, 2 ** k + 1]), st.integers(1, 600)))
+    rho = draw(st.floats(0.3, 1.05))
+    cond = 10.0 ** draw(st.floats(0.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.sampled_from(["rotation", "real"])) == "rotation":
+        M = np.zeros((n, n))
+        for i in range(0, n - 1, 2):
+            th, rad = rng.uniform(0.05, 3.0), rho if i == 0 else rng.uniform(0.3, rho)
+            M[i:i + 2, i:i + 2] = rad * np.array([[math.cos(th), -math.sin(th)],
+                                                   [math.sin(th), math.cos(th)]])
+        if n % 2:
+            M[-1, -1] = rng.uniform(-rho, rho)
+    else:
+        lam = rng.uniform(0.3, rho, n) * rng.choice([-1.0, 1.0], n)
+        lam[0] = rho
+        M = np.diag(lam)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V = U @ np.diag(np.geomspace(1.0, cond, n)) @ W.T
+    model = StateSpaceModel(V @ M @ np.linalg.inv(V), rng.standard_normal((n, r)))
+    return model, N, cond
+
+
+def _mp_generators(model, N):
+    """[B, AB, ..., A^(N-1)B] of the stored (rounded) A and B, one exact
+    product after another at 40 digits, as an object array of mpf."""
+    with mpmath.workdps(40):
+        A = np.vectorize(mpmath.mpf, otypes=[object])(model.A)
+        blocks = [np.vectorize(mpmath.mpf, otypes=[object])(model.B)]
+        for _ in range(N - 1):
+            blocks.append(A @ blocks[-1])
+        return np.hstack(blocks)
+
+
+class TestReachabilityGeneratorsAccuracy:
+    @given(_power_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_against_repeated_product_at_40_digits(self, case):
+        # forward error of the doubling, normwise over the whole matrix.
+        # Squaring A^k amplifies the rounding of each product by up to
+        # cond(V)^2 against the spectral radius, and each of the N columns
+        # can carry it; in 400 draws of these cases the error stayed below
+        # 0.71 * N * u * cond^2 (the repeated product: 0.14)
+        model, N, cond = case
+        G = reachability_generators(model, N)
+        exact = _mp_generators(model, N)
+        with mpmath.workdps(40):
+            err = mpmath.sqrt(sum(x * x for x in (exact - G.astype(object)).ravel()))
+            norm = mpmath.sqrt(sum(x * x for x in exact.ravel()))
+        u = np.finfo(float).eps / 2
+        assert float(err) <= 16 * model.n * N * u * cond ** 2 * float(norm)
+
+    def test_first_block_is_B_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        m = StateSpaceModel(rng.standard_normal((4, 4)), rng.standard_normal((4, 2)))
+        for N in (1, 2, 7, 64):
+            assert np.array_equal(reachability_generators(m, N)[:, :2], m.B)
+
+    def test_does_not_alias_B(self):
+        m = StateSpaceModel(np.diag([0.5, 0.8]), [[1.0], [2.0]])
+        for N in (1, 5):
+            P = reachability_generators(m, N)
+            assert not np.shares_memory(P, m.B)
+            P[:] = 0.0
+            assert np.array_equal(m.B, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 9, 31, 33])
+    def test_shape(self, N):
+        m = StateSpaceModel(np.eye(3), np.ones((3, 2)))
+        assert reachability_generators(m, N).shape == (3, 2 * N)
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_horizon_below_one_rejected(self, N):
+        m = StateSpaceModel(np.eye(2), [[1.0], [0.0]])
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            reachability_generators(m, N)
+
+    def test_horizon_taken_as_int(self):
+        m = StateSpaceModel(np.diag([0.5, 0.8]), [[1.0], [1.0]])
+        P = reachability_generators(m, 5)
+        assert np.array_equal(reachability_generators(m, 5.0), P)
+        assert np.array_equal(reachability_generators(m, np.int64(5)), P)
+
+    def test_exact_on_signed_permutation(self):
+        # every product of a signed permutation is exact, so each column
+        # A^j b must come out bit for bit
+        A = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b = np.array([1.0, 2.0, 3.0])
+        P = reachability_generators(StateSpaceModel(A, b), 37)
+        x = b
+        for j in range(37):
+            assert np.array_equal(P[:, j], x)
+            x = A @ x
 
 
 class TestNarrowGenerators:

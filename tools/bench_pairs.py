@@ -14,6 +14,11 @@ alternates from pair to pair.  Held-out seeds are run and reported like the
 others and flagged, so that a claim can be checked on seeds no one tuned on.
 CHILD_DIR defaults to the checkout this script is in.
 
+Each tree also runs ``--trace 1`` once per workload, on the workload's first
+seed.  Its exit code, ``planned``, ``attempted``, ``pool_exhausted`` and
+per-layer metrics are recorded, not judged, so that a traced run that fails
+(for instance when a faster tree uses up the request pool) shows in the file.
+
 The file records the machine and the Python, numpy and mpmath versions (as
 the benchmark reports them), the seeds and run counts, every run's end-to-end
 metrics and ``raw_wall``, their median and quartiles per side, how many pairs
@@ -45,9 +50,13 @@ def _seeds(spec):
     return workload, [int(s) for s in seeds.split(",")]
 
 
+def _cmd(workload, seed, seconds, trace):
+    return [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+
+
 def _bench(tree, workload, seed, seconds):
-    cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = _cmd(workload, seed, seconds, 0)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
@@ -58,6 +67,24 @@ def _bench(tree, workload, seed, seconds):
     run.update(attempted=result["attempted"], failed=result["failed"],
                pool_exhausted=detail["pool_exhausted"])
     return run, detail["environment"]
+
+
+def _traced(tree, workload, seed, seconds):
+    """Outcome of one --trace 1 run, whether or not it exits 0."""
+    proc = subprocess.run(_cmd(workload, seed, seconds, 1), cwd=tree, capture_output=True,
+                          text=True)
+    run = {"seed": seed, "exit": proc.returncode, "planned": None, "attempted": None,
+           "pool_exhausted": None}
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        run["stderr_tail"] = proc.stderr.strip().splitlines()[-1:]
+        return run
+    detail, result = (json.loads(line) for line in lines[-2:])
+    detail = detail["detail"]
+    run.update(planned=detail["planned"], attempted=result["attempted"],
+               pool_exhausted=detail["pool_exhausted"],
+               layers={name: m["value"] for name, m in result["metrics"].items()})
+    return run
 
 
 def _quartiles(values):
@@ -113,6 +140,14 @@ def main(argv=None):
                 f"{side} {pair[side]['requests_per_s']:.1f} req/s" for side in order),
                 file=sys.stderr, flush=True)
 
+    for workload, entry in workloads.items():
+        seed = (entry["seeds"] or entry["held_out_seeds"])[0]
+        entry["traced"] = {side: _traced(trees[side], workload, seed, args.seconds)
+                           for side in trees}
+        print(f"{workload} seed {seed} traced: " + ", ".join(
+            f"{side} exit {run['exit']}, {run['attempted']} of {run['planned']}"
+            for side, run in entry["traced"].items()), file=sys.stderr, flush=True)
+
     for entry in workloads.values():
         pairs = entry["pairs"]
         entry["runs_per_side"] = len(pairs)
@@ -130,6 +165,7 @@ def main(argv=None):
     report = {
         "label": args.label,
         "command": "python3 benchmark/run.py --workload W --seed S --seconds T --trace 0",
+        "traced_command": "python3 benchmark/run.py --workload W --seed S --seconds T --trace 1",
         "seconds": args.seconds,
         "machine": {k: environment[k] for k in ("cpu", "nproc", "openblas", "blas_threads")},
         "python": environment["python"],
