@@ -45,35 +45,6 @@ class TestStateSpaceModel:
             StateSpaceModel(np.ones((2, 3)), np.ones((2, 1)))
 
 
-class TestReachabilityGenerators:
-    def test_identity_powers(self):
-        m = StateSpaceModel(np.eye(2), [[1.0], [0.0]])
-        P = reachability_generators(m, 3)
-        assert np.allclose(P, [[1, 1, 1], [0, 0, 0]])
-
-    def test_one_multiplication(self):
-        m = StateSpaceModel(np.diag([0.5, 0.8]), [[1.0], [1.0]])
-        assert np.allclose(reachability_generators(m, 2), [[1, 0.5], [1, 0.8]])
-
-    def test_companion_iteration(self, companion_model):
-        P = reachability_generators(companion_model, 3)
-        assert np.allclose(P, [[0, 1, 0.7], [1, 0.7, 0.37]])
-
-    def test_block_recursion_identity(self, companion_model):
-        for N in (1, 2, 5):
-            P = reachability_generators(companion_model, N)
-            P_next = reachability_generators(companion_model, N + 1)
-            stacked = np.hstack([companion_model.B, companion_model.A @ P])
-            assert np.allclose(P_next, stacked)
-
-    def test_multi_input_block_layout(self):
-        rng = np.random.default_rng(0)
-        m = StateSpaceModel(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
-        P = reachability_generators(m, 3)
-        assert P.shape == (3, 6)
-        assert np.allclose(P[:, 4:6], m.A @ m.A @ m.B)
-
-
 @st.composite
 def _power_cases(draw):
     """(model, N, cond): A = V M V^-1 with M a block of rotations or a real
@@ -116,15 +87,41 @@ def _mp_generators(model, N):
         return np.hstack(blocks)
 
 
-class TestReachabilityGeneratorsAccuracy:
+class TestReachabilityGenerators:
+    def test_identity_powers(self):
+        m = StateSpaceModel(np.eye(2), [[1.0], [0.0]])
+        P = reachability_generators(m, 3)
+        assert np.allclose(P, [[1, 1, 1], [0, 0, 0]])
+
+    def test_one_multiplication(self):
+        m = StateSpaceModel(np.diag([0.5, 0.8]), [[1.0], [1.0]])
+        assert np.allclose(reachability_generators(m, 2), [[1, 0.5], [1, 0.8]])
+
+    def test_companion_iteration(self, companion_model):
+        P = reachability_generators(companion_model, 3)
+        assert np.allclose(P, [[0, 1, 0.7], [1, 0.7, 0.37]])
+
+    def test_block_recursion_identity(self, companion_model):
+        for N in (1, 2, 5):
+            P = reachability_generators(companion_model, N)
+            P_next = reachability_generators(companion_model, N + 1)
+            stacked = np.hstack([companion_model.B, companion_model.A @ P])
+            assert np.allclose(P_next, stacked)
+
+    def test_multi_input_block_layout(self):
+        rng = np.random.default_rng(0)
+        m = StateSpaceModel(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
+        P = reachability_generators(m, 3)
+        assert P.shape == (3, 6)
+        assert np.allclose(P[:, 4:6], m.A @ m.A @ m.B)
+
     @given(_power_cases())
     @settings(max_examples=60, deadline=None)
     def test_against_repeated_product_at_40_digits(self, case):
-        # forward error of the doubling, normwise over the whole matrix.
-        # Squaring A^k amplifies the rounding of each product by up to
-        # cond(V)^2 against the spectral radius, and each of the N columns
-        # can carry it; in 400 draws of these cases the error stayed below
-        # 0.71 * N * u * cond^2 (the repeated product: 0.14)
+        # forward error of the doubling, normwise over the whole matrix.  A
+        # non-normal A loses accuracy in each squaring, so the bound grows
+        # with cond(V); in 1,900 draws of these cases the error stayed below
+        # 0.71 * N * u * cond^2 * |G| (the repeated product's below 0.14)
         model, N, cond = case
         G = reachability_generators(model, N)
         exact = _mp_generators(model, N)
