@@ -10,6 +10,7 @@ from mpmath import mp, mpf
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reachvol import analytic
 from reachvol.analytic import (
     COND_DD,
     DD_DIGITS,
@@ -493,7 +494,6 @@ class TestFullVolume:
 
     def test_direct_route_looks_up_generator_builder_when_called(self, monkeypatch):
         # a wrapper bound to the module name after import must see the call
-        from reachvol import analytic
         calls = []
         builder = analytic.reachability_generators
 

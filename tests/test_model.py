@@ -120,9 +120,9 @@ class TestReachabilityGenerators:
     def test_against_repeated_product_at_40_digits(self, case):
         # forward error of the doubling, normwise over the whole matrix.  A
         # non-normal A loses accuracy in each squaring, so the bound grows
-        # with cond(V); in 1,900 draws of these cases the error stayed below
-        # 0.71 * N * u * cond^2 * |G| (the repeated product's, in 400 of
-        # them, below 0.14)
+        # with cond(V).  In 7,900 draws of these cases, 3,000 of them steered
+        # towards large errors, it stayed below 1.96 * N * u * cond^2 * |G|
+        # (the repeated product's, in 400 of them, below 0.14)
         model, N, cond = case
         G = reachability_generators(model, N)
         exact = _mp_generators(model, N)
