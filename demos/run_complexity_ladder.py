@@ -1,10 +1,12 @@
 """Cost separation of the three routes.
 
 The exact route sums C(N, n) determinants (the ``dets`` column counts
-them) but evaluates them as C(N, n - 2) prefix eliminations, each finished
-by an angle-sorted 2-D sum in O(N log N); the recursion costs O(2^n N),
+them) but, on the Krylov generators [b, Ab, ..., A^(N-1) b], evaluates
+them as the C(N, n - 3) prefixes that start at b, each finished by a
+weighted 2-D sum in O(N^2) vector work; the recursion costs O(2^n N),
 and the expansion evaluates the same 2^n terms no matter the horizon.  The
-ladder below makes the asymptotics visible in wall-clock time.
+ladder below times each route as ``full_volume`` runs it, and makes the
+asymptotics visible in wall-clock time.
 """
 
 import time
@@ -13,9 +15,8 @@ from reachvol import (
     EigenStructure,
     analytic_volume_sum,
     determinant_count,
+    full_volume,
     recursive_volume_sum,
-    reachability_generators,
-    symmetric_volume,
 )
 
 lam = [0.2, 0.5, 0.8]
@@ -34,8 +35,7 @@ def clock(fn, repeat=3):
 
 print(f"{'N':>8} {'dets':>12} {'direct ms':>12} {'recursive ms':>14} {'analytic ms':>13}")
 for N in (8, 16, 32, 64, 128, 256):
-    P = reachability_generators(model, N)
-    t_dir = clock(lambda: symmetric_volume(P))
+    t_dir = clock(lambda: full_volume(model, N, "direct"))
     t_rec = clock(lambda: recursive_volume_sum(lam, N))
     t_ana = clock(lambda: analytic_volume_sum(lam, N))
     print(f"{N:>8} {determinant_count(N, 3):>12} {t_dir:>12.3f} "

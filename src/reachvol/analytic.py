@@ -925,9 +925,14 @@ def _ensure_model(system):
 
 def _direct_report(system, N, warnings=(), generators=None):
     """Exact determinant-sum report over the N generators `generators` builds,
-    by default reachability_generators, looked up when called."""
-    generators = generators or reachability_generators
-    vol = symmetric_volume(generators(_ensure_model(system), N))
+    by default reachability_generators, looked up when called, whose Krylov
+    structure anchors the sum at the first block."""
+    model = _ensure_model(system)
+    if generators is None:
+        vol = symmetric_volume(reachability_generators(model, N),
+                               krylov=(model.r, abs(np.linalg.det(model.A))))
+    else:
+        vol = symmetric_volume(generators(model, N))
     return VolumeReport(volume=vol, route="direct", warnings=tuple(warnings))
 
 

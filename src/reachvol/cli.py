@@ -272,8 +272,7 @@ def cmd_bench(args):
     for N in ladder:
         count = determinant_count(max(N, n), n)
         if count <= _BENCH_DET_BUDGET:
-            P = reachability_generators(model, N)
-            t_direct = _median_time(lambda: symmetric_volume(P), trials)
+            t_direct = _median_time(lambda: full_volume(model, N, "direct"), trials)
         else:
             t_direct = float("nan")  # skipped: determinant budget exceeded
         t_rec = _median_time(lambda: recursive_volume_sum(lam, N), trials)

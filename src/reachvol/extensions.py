@@ -202,8 +202,10 @@ def ct_discretized_oracle(model, dt):
             f"use a larger dt or a smaller state dimension")
     W = model.eigen.left_vectors
     # column k in modal coordinates: exp(lambda k dt) * (W B_c dt)
-    modal = np.exp(np.outer(model.eigen.eigenvalues, np.arange(K) * dt)) * (W @ model.B_c * dt)
-    return symmetric_volume(np.linalg.solve(W, modal))
+    lam = model.eigen.eigenvalues
+    modal = np.exp(np.outer(lam, np.arange(K) * dt)) * (W @ model.B_c * dt)
+    # a Krylov matrix of exp(A_c dt), whose determinant is exp(dt * trace A_c)
+    return symmetric_volume(np.linalg.solve(W, modal), krylov=(1, math.exp(dt * lam.sum())))
 
 
 def narrow_via_relation(model, N, route="auto"):

@@ -7,6 +7,17 @@ column subsets, of the absolute determinant of the selected n-by-n
 submatrix.  That sum is the ground truth every faster route in this
 package is checked against; :func:`unit_cube_volume` evaluates it without
 visiting the subsets one by one (Gover & Krikorian, LAA 433, 2010).
+
+A Krylov matrix [B, AB, ..., A^(N-1)B] has more structure: shifting a
+subset down by p blocks multiplies its determinant by det(A)^p, so the
+subsets that hold a first-block column, each weighted by the sum of
+|det A|^p over its shifts, give the whole sum.  With
+``krylov=(r, |det A|)`` only those subsets are visited: r C(m, n - 3)
+prefixes instead of C(m, n - 2), each finished by one weighted O(m^2) 2-D
+sum instead of an O(m log m) sort.  The direct discrete and
+continuous-time routes declare it; narrow generators (whose first block is
+their least accurate), ``reachvol check`` and the test references keep the
+generic sum as the independent reference.
 """
 
 import math
@@ -14,13 +25,16 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from .model import VolumeDomainError
+
 __all__ = [
     "determinant_count",
     "unit_cube_volume",
     "symmetric_volume",
 ]
 
-# Elements (prefixes x n x m) per vectorized batch of subset prefixes.
+# Elements per vectorized batch: prefixes x n x m, or on the Krylov path
+# prefixes x m x m, and at most this many in one 2-D mask.
 _CHUNK = 65536
 
 
@@ -65,18 +79,22 @@ def determinant_count(m, n):
     return math.comb(m, n)
 
 
+def _fold(Y):
+    """x and y of each 2-D vector of Y (shape (..., 2, m)), each vector
+    turned into the upper half-plane: a sign flip leaves |det| unchanged."""
+    x, y = Y[..., 0, :], Y[..., 1, :]
+    flip = (y < 0) | ((y == 0) & (x < 0))
+    return np.where(flip, -x, x), np.where(flip, -y, y)
+
+
 def _pair_sums(Y):
     """Sum of |det(y_j, y_k)| over the pairs j < k of each stack of 2-D vectors.
 
-    Y has shape (..., 2, m).  A sign flip leaves |det| unchanged, so every
-    vector is folded into the upper half-plane; sorted by angle, each
-    det(y_j, y_k) with y_j before y_k is then nonnegative, and the pair sum
-    is sum_k det(y_1 + ... + y_(k-1), y_k).
+    Y has shape (..., 2, m).  Folded into the upper half-plane
+    (:func:`_fold`) and sorted by angle, each det(y_j, y_k) with y_j before
+    y_k is nonnegative, and the pair sum is sum_k det(y_1 + ... + y_(k-1), y_k).
     """
-    x, y = Y[..., 0, :], Y[..., 1, :]
-    flip = (y < 0) | ((y == 0) & (x < 0))
-    x = np.where(flip, -x, x)
-    y = np.where(flip, -y, y)
+    x, y = _fold(Y)
     order = np.argsort(np.arctan2(y, x), axis=-1)
     x = np.take_along_axis(x, order, axis=-1)
     y = np.take_along_axis(y, order, axis=-1)
@@ -107,7 +125,49 @@ def _eliminate(G):
     return det, M[:, k:, k:]
 
 
-def unit_cube_volume(Z):
+def _weighted_pair_sums(Y, w):
+    """Sum of w_k |det(y_j, y_k)| over the pairs j < k of each stack of 2-D
+    vectors Y (shape (b, 2, L)), online: with the vectors folded into the
+    upper half-plane, it is sum_k w_k det(2 D_k - P_k, y_k), where P_k sums
+    the y_j with j < k and D_k those with an angle no larger than y_k's.
+    The L-by-L masks are built a block of k at a time, at most ``_CHUNK``
+    elements each."""
+    x, y = _fold(Y)
+    b, L = x.shape
+    V = np.stack([x, y], axis=1)
+    P = np.zeros_like(V)
+    np.cumsum(V[:, :, :-1], axis=-1, out=P[:, :, 1:])
+    # angle order is the descending order of the cotangent x / y, which
+    # keeps full relative precision where the angle of a long, nearly
+    # axis-parallel vector rounds; y = +0 gives +inf, a zero vector nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot = x / np.abs(y)
+    idx = np.arange(L)
+    step = max(1, _CHUNK // (b * L))
+    total = np.zeros(b)
+    for k0 in range(0, L, step):
+        k1 = min(L, k0 + step)
+        mask = cot[:, :k1, None] >= cot[:, None, k0:k1]
+        mask &= idx[:k1, None] < idx[k0:k1]
+        Q = 2.0 * (V[:, :, :k1] @ mask) - P[:, :, k0:k1]
+        total += (Q[:, 0] * y[:, k0:k1] - Q[:, 1] * x[:, k0:k1]) @ w[k0:k1]
+    return total
+
+
+def _shift_weights(m, r, abs_det):
+    """Per-column weights w(q) = sum_(p=0)^(N-1-q) |det A|^p of the Krylov
+    matrix of N = m / r blocks of r columns, q the column's block; None
+    when a weight is not finite."""
+    if r < 1 or m % r:
+        raise ValueError(f"krylov: {m} columns are not whole blocks of r = {r}")
+    if abs_det < 0:
+        raise ValueError(f"krylov: |det A| must be >= 0, got {abs_det}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.cumsum(float(abs_det) ** np.arange(m // r))[::-1]
+    return np.repeat(w, r) if np.all(np.isfinite(w)) else None
+
+
+def unit_cube_volume(Z, *, krylov=None):
     """Exact volume of the zonotope with coefficients in [0, 1].
 
     The sum of |det| over the n-column submatrices of Z, in C(m, n - 2)
@@ -120,15 +180,35 @@ def unit_cube_volume(Z):
     combined with exact (Shewchuk) summation.  Rank-deficient Z gives
     volume 0 up to rounding (a flat zonotope), not an error.
 
+    ``krylov=(r, abs_det)`` declares Z = [B, AB, ..., A^(N-1)B] with r
+    columns in B and abs_det = |det A|.  A subset whose first block is p
+    is A^p times a subset S' that holds a first-block column, so the sum
+    is that over the S' alone, each weighted by w(q) = sum_(p=0)^(N-1-q)
+    |det A|^p, q the last block of S'.  For n >= 3 that visits the r
+    C(m, n - 3) prefixes that start in the first block, each finished by
+    one weighted online 2-D sum in O(m^2) vector work
+    (:func:`_weighted_pair_sums`); for n = 2 it is
+    sum_c sum_(k > c) w_k |det(z_c, z_k)| over the first-block columns c.
+    It holds only for an exact Krylov matrix: built otherwise (narrow
+    generators, test references), Z gets the generic sum.  n = 1, and
+    weights that overflow (unstable A, large N), also take the generic sum.
+
     Parameters
     ----------
     Z : array_like, shape (n, m)
         Generator matrix; columns are generators.
+    krylov : (int, float), optional
+        Block width r and |det A| of a Krylov generator matrix.
 
     Returns
     -------
     float
         Nonnegative volume; 0.0 when m < n or rank(Z) < n.
+
+    Raises
+    ------
+    VolumeDomainError
+        When rounding cancels the sum to a negative total.
     """
     A = _as_generator_matrix(Z)
     n, m = A.shape
@@ -136,14 +216,38 @@ def unit_cube_volume(Z):
         return 0.0
     if n == 1:
         return math.fsum(np.abs(A[0]))
-    k = n - 2
-    # Prefixes as descending tuples, so that a batch spans few values of
-    # max(P); a prefix needs two later columns, so max(P) <= m - 3.
-    prefixes = combinations(range(m - 3, -1, -1), k)
-    per_batch = max(1, _CHUNK // (n * m))
+    w = None if krylov is None else _shift_weights(m, *krylov)
+    if w is None:
+        # descending prefixes, so that a batch spans few values of max(P);
+        # a prefix needs two later columns, so max(P) <= m - 3
+        total = _prefix_sum(A, combinations(range(m - 3, -1, -1), n - 2),
+                            _CHUNK // (n * m))
+    elif n == 2:
+        # the pairs c < k with c in the first block
+        total = math.fsum(float(np.abs(A[0, c] * A[1, c + 1:] - A[1, c] * A[0, c + 1:])
+                                @ w[c + 1:]) for c in range(krylov[0]))
+    else:
+        # a first-block column and n - 3 later ones, descending
+        firsts = range(min(krylov[0], m - 2))
+        prefixes = (rest + (c,) for c in firsts
+                    for rest in combinations(range(m - 3, c, -1), n - 3))
+        total = _prefix_sum(A, prefixes, _CHUNK // (m * m), w)
+    if total < 0.0:
+        raise VolumeDomainError(
+            f"the determinant sum cancelled to a negative total ({total:.3e}): "
+            f"rounding exceeds the volume")
+    return total
+
+
+def _prefix_sum(A, prefixes, per_batch, w=None):
+    """Sum over the prefixes P (tuples of n - 2 columns) of |det| times the
+    pair sum of the 2-D images of the columns after max(P), weighted by the
+    per-column weights `w` if given, in batches of `per_batch` prefixes,
+    with exact summation of the partials."""
+    n, m = A.shape
     partials = []
-    while batch := list(islice(prefixes, per_batch)):
-        P = np.asarray(batch, dtype=np.intp).reshape(len(batch), k)
+    while batch := list(islice(prefixes, max(1, per_batch))):
+        P = np.asarray(batch, dtype=np.intp).reshape(len(batch), n - 2)
         last = P.max(axis=1, initial=-1)
         lo = int(last.min()) + 1
         det, S = _eliminate(A.T[P].transpose(0, 2, 1))
@@ -151,16 +255,18 @@ def unit_cube_volume(Z):
         # a pair lies after its prefix: zero the columns up to max(P)
         done = np.arange(lo, m) <= last[:, None]
         Y = np.where(done[:, None, :], 0.0, Y)
-        partials.append(float(det @ _pair_sums(Y)))
+        pairs = _pair_sums(Y) if w is None else _weighted_pair_sums(Y, w[lo:])
+        partials.append(float(det @ pairs))
     return math.fsum(partials)
 
 
-def symmetric_volume(Z):
+def symmetric_volume(Z, *, krylov=None):
     """Volume of the zonotope with coefficients in [-1, 1].
 
     Each generator segment is twice as long as in the unit-cube convention,
-    so this is 2**n times :func:`unit_cube_volume`.  Reachable regions of
-    systems driven by inputs with ||u||_inf <= 1 use this convention.
+    so this is 2**n times :func:`unit_cube_volume`, with the same `krylov`
+    structure.  Reachable regions of systems driven by inputs with
+    ||u||_inf <= 1 use this convention.
     """
     A = _as_generator_matrix(Z)
-    return float(2.0 ** A.shape[0]) * unit_cube_volume(A)
+    return float(2.0 ** A.shape[0]) * unit_cube_volume(A, krylov=krylov)

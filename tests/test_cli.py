@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+from reachvol import zonotope
 from reachvol.analytic import full_volume
 from reachvol.cli import _COMMANDS, _report_json, _to_json, main
 from reachvol.model import EigenStructure
@@ -134,6 +137,36 @@ class TestVolumeCommand:
         assert (code, out) == (2, "")
         assert err.startswith("reachvol: domain error: IllConditioned: "
                               "the subset expansion cancels by ")
+
+    def test_wide_range_direct_volume_is_not_negative(self, capsys, tmp_path):
+        # generators from 1 to 1.111^599 = 3e27 along nearly one direction;
+        # the angle-sorted sum printed -1.4996876743667708e+38 here.  A
+        # 60-digit sum over the exact powers of these floats gives 6.8557554350453069e31
+        path = tmp_path / "wide.json"
+        path.write_text('{"A": [[1.01, 0, 0], [0, -0.909, 0], [0, 0, 1.111]], '
+                        '"B": [[1], [0.001], [1]]}')
+        for route in ("auto", "direct"):
+            code, out, err = run(capsys, "volume", "--model", str(path), "--N", "600",
+                                 "--route", route)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["volume"] == pytest.approx(6.8557554350453069e31,
+                                                              rel=1e-13)
+
+    @pytest.mark.parametrize("pair_sums,mode", [("_weighted_pair_sums", "discrete"),
+                                                ("_pair_sums", "narrow")])
+    def test_negative_determinant_sum_exit_2(self, capsys, monkeypatch, tmp_path,
+                                             pair_sums, mode):
+        # a total that rounds below zero is refused on the anchored path
+        # (discrete) and on the generic one (narrow), not printed
+        monkeypatch.setattr(zonotope, pair_sums, lambda Y, w=None: -np.ones(len(Y)))
+        path = tmp_path / "diag3.json"
+        path.write_text('{"A": [[0.5, 0, 0], [0, -0.6, 0], [0, 0, 0.7]], '
+                        '"B": [[1], [1], [1]]}')
+        code, out, err = run(capsys, "volume", "--model", str(path), "--N", "8",
+                             "--mode", mode, "--route", "direct")
+        assert (code, out) == (2, "")
+        assert err.startswith("reachvol: domain error: the determinant sum cancelled "
+                              "to a negative total")
 
     def test_csv_format(self, capsys, diag_model):
         code, out, _ = run(capsys, "volume", "--model", diag_model, "--N", "2",

@@ -6,12 +6,16 @@ Runs each block request of ``benchmark/workloads.generate(w, 0, 100)`` for
 the four workloads (449 requests) through ``reachvol.cli.main`` imported
 from SRC_DIR, in this process, and prints one line per request:
 
-    workload id exit sha256(stdout) sha256(stderr)
+    workload id exit sha256(stdout) sha256(stderr) value
 
-Two trees print the same lines exactly when every request gives the same
-bytes and exit code on both; ``diff`` of two runs names the requests that
-changed.  The workload definitions are read from this checkout's
-``benchmark/`` and are not modified.
+where value is the first volume the request reports, as %.17g: the
+``volume`` of a JSON report (of its first row for a sweep), the ``volume``
+column of the first CSV row (its first value when there is no such
+column), or ``-`` when there is none.  Two trees print the same lines
+exactly when every request gives the same bytes and exit code on both;
+``diff`` of two runs names the requests that changed, and the values give
+the size of each change.  The workload definitions are read from this
+checkout's ``benchmark/`` and are not modified.
 """
 
 import hashlib
@@ -29,6 +33,24 @@ REQUESTS = 100
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _first_value(out):
+    try:
+        doc = json.loads(out)
+        value = doc["volume"] if "volume" in doc else doc["rows"][0]["volume"]
+    except ValueError:  # not JSON: CSV
+        lines = out.splitlines()
+        if len(lines) < 2:
+            return "-"
+        header, row = lines[0].split(","), lines[1].split(",")
+        value = row[header.index("volume") if "volume" in header else 0]
+    except (KeyError, IndexError, TypeError):
+        return "-"
+    try:
+        return "%.17g" % float(value)
+    except (TypeError, ValueError):
+        return "-"
 
 
 def _run(cli, argv):
@@ -62,7 +84,7 @@ def main(argv):
             for req in (r for block in plan["blocks"] for r in block):
                 argv = [req["kind"], "--model", str(models / req["model"])] + req["argv"]
                 code, out, err = _run(cli, argv)
-                print(workload, req["id"], code, _sha(out), _sha(err))
+                print(workload, req["id"], code, _sha(out), _sha(err), _first_value(out))
     return 0
 
 
