@@ -130,8 +130,8 @@ def _weighted_pair_sums(Y, w):
     vectors Y (shape (b, 2, L)), online: with the vectors folded into the
     upper half-plane, it is sum_k w_k det(2 D_k - P_k, y_k), where P_k sums
     the y_j with j < k and D_k those with an angle no larger than y_k's.
-    The L-by-L masks are built a block of k at a time, at most ``_CHUNK``
-    elements each."""
+    The L-by-L masks are built a block of k at a time, of at most
+    max(``_CHUNK``, b L) elements each."""
     x, y = _fold(Y)
     b, L = x.shape
     V = np.stack([x, y], axis=1)
@@ -189,9 +189,11 @@ def unit_cube_volume(Z, *, krylov=None):
     one weighted online 2-D sum in O(m^2) vector work
     (:func:`_weighted_pair_sums`); for n = 2 it is
     sum_c sum_(k > c) w_k |det(z_c, z_k)| over the first-block columns c.
-    It holds only for an exact Krylov matrix: built otherwise (narrow
-    generators, test references), Z gets the generic sum.  n = 1, and
-    weights that overflow (unstable A, large N), also take the generic sum.
+    The identity holds for the exact Krylov matrix, so its callers declare
+    it only for accurately built ones; the narrow generators (least
+    accurate at their anchor) and the test references take the generic
+    sum.  n = 1, and weights that overflow (unstable A, large N), also
+    take the generic sum.
 
     Parameters
     ----------

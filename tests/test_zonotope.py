@@ -154,8 +154,8 @@ class TestUnitCubeVolume:
     def test_chunked_path_matches_unchunked(self, monkeypatch):
         # _CHUNK below n * m puts each prefix in a batch of its own; at
         # n = 2 the one (empty) prefix is the whole sum.  On the anchored
-        # path it also splits each prefix's mask into one column of k at a
-        # time; (3, 1, 160) has a 159-by-159 mask above the default _CHUNK
+        # path it also builds each prefix's mask one column of k at a time,
+        # where the default builds (3, 1, 160)'s in one 159-by-159 block
         rng = np.random.default_rng(7)
         cases = [(rng.standard_normal(shape), None) for shape in ((4, 12), (3, 12), (2, 40))]
         for n, r, N in ((4, 1, 12), (3, 2, 9), (5, 1, 9), (2, 2, 20)):
