@@ -24,18 +24,20 @@ The expansion's terms cancel heavily near the N = n anchor, so the kernel
 chooses its precision from the measured cancellation cond = sum|t| / |sum t|.
 The n^2 per-eigenvalue scalars (pair factors, 1/self, the powers) are formed
 in mpmath at DEFAULT_DPS = 40 digits and split into double-double mantissas
-and binary exponents.  The 2^n tables are then built in double-double numpy
-arithmetic (Dekker's error-free products, one vector operation per factor
-and new top bit), so powers far below the double range keep full precision.
-The total is math.fsum over every word, the correctly rounded sum of the
-double-double terms (Ogita, Rump & Oishi), and cond comes from the same
-pass.  Below COND_DD = 1e13 that answer agrees with the 40-digit
-evaluation to the last bit.  Above it mpmath re-evaluates the tables at GUARD_DIGITS = 20 digits
-beyond log10(cond), at least 40, and again at what its own measured cond
-calls for, up to MAX_DPS = 100 digits; a sum that needs more is refused
-with a SpectrumError of class IllConditioned.  Every output field is
-rounded once, subnormals included.  The report's Precision record names
-the path, cond and digits.  The recursion needs no divisions and runs in
+and binary exponents, and the 2^n tables are built in double-double numpy
+arithmetic (Dekker's error-free products, one vector operation per factor and
+new top bit), so powers far below the double range keep full precision.  Only
+the powers depend on the horizon: the distribution-factor table is cached per
+spectrum and factor form, so a sweep builds it once, with the bits a fresh
+build gives.  The total is math.fsum over every word, the correctly rounded
+sum of the double-double terms (Ogita, Rump & Oishi), and cond comes from the
+same pass.  Below COND_DD = 1e13 that answer agrees with the 40-digit
+evaluation to the last bit.  Above it mpmath re-evaluates the tables at
+GUARD_DIGITS = 20 digits beyond log10(cond), at least 40, and again at what
+its own measured cond calls for, up to MAX_DPS = 100 digits; a sum that needs
+more is refused with a SpectrumError of class IllConditioned.  Every output
+field is rounded once, subnormals included.  The report's Precision record
+names the path, cond and digits.  The recursion needs no divisions and runs in
 ordinary doubles, vectorized over subset bitmasks (see
 :func:`recursive_volume_sum`).
 """
@@ -58,9 +60,9 @@ from .model import (
     SpectrumError,
     StateSpaceModel,
     UnboundedRegionError,
+    _pair_index,
     _real_ascending,
     classify_spectrum,
-    diagonalize,
     reachability_generators,
 )
 from .zonotope import symmetric_volume
@@ -448,18 +450,17 @@ def _subset_tables(lam, horizon, mode):
 @lru_cache(maxsize=8)
 def _subset_order(n):
     """Per n: the bitmasks in size-then-lex order, their 1-based subsets and
-    term signs in that order, every bitmask's sign as +-1.0, and the index
-    pairs i < j in lexicographic order.  Depends on n only, so it is cached."""
+    term signs in that order, and every bitmask's sign as +-1.0.  Depends on
+    n only, so it is cached."""
     order = list(_subsets(n))
     masks = np.array([mask for _, mask in order])
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     # (-1)**((n+1)s - sum of 1-based members)
     sign = 1.0 - 2.0 * (((n + 1) * bits.sum(axis=1) - bits @ np.arange(1, n + 1)) % 2)
-    pairs = np.triu_indices(n, 1)
-    for arr in (masks, sign, *pairs):
+    for arr in (masks, sign):
         arr.setflags(write=False)
     subsets = tuple(tuple(j + 1 for j in sub) for sub, _ in order)
-    return masks, subsets, tuple(int(x) for x in sign[masks]), sign, pairs
+    return masks, subsets, tuple(int(x) for x in sign[masks]), sign
 
 
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's constant, splits a double into 26 + 27 bits
@@ -519,6 +520,52 @@ def _dd_round(hi, lo, ex):
     return out
 
 
+@lru_cache(maxsize=8)
+def _dd_factor_table(key, form):
+    """Distribution factors phi of every subset bitmask, double-double words
+    and exponents, of the spectrum whose float64 bytes are `key`: cached per
+    spectrum and form, read-only, as nothing here depends on the horizon.
+
+    g[j, m] = 1/self(j) times pair(i, j) over the members i of m < 2^j, by
+    one doubling per member i for every j > i at once."""
+    pair_den, self_den, absolute = _FACTOR_FORMS[form]
+    lam = np.frombuffer(key)
+    n = lam.size
+    iu = _pair_index(n)
+    with mp.workdps(DEFAULT_DPS):
+        x = [mpf(float(v)) for v in lam]
+        pairs = ((x[j] - x[i]) / pair_den(x[i], x[j]) for i, j in zip(*iu))
+        scalars = _dd_parts([*(1 / self_den(v) for v in x),
+                             *(abs(p) if absolute else p for p in pairs)])
+    ph, pl, pe = (np.zeros((n, n), dtype=w.dtype) for w in scalars)
+    ph[iu], pl[iu], pe[iu] = (w[n:] for w in scalars)
+    gh, gl, ge = (np.empty((n, 1 << (n - 1)), dtype=w.dtype) for w in scalars)
+    gh[:, 0], gl[:, 0], ge[:, 0] = (w[:n] for w in scalars)
+    for i in range(n - 1):
+        s, rest = 1 << i, slice(i + 1, n)
+        gh[rest, s:2 * s], gl[rest, s:2 * s] = _dd_mul(
+            gh[rest, :s], gl[rest, :s], ph[i, rest, None], pl[i, rest, None])
+        ge[rest, s:2 * s] = ge[rest, :s] + pe[i, rest, None]
+    phi = _dd_rows(gh, gl, ge)
+    for arr in phi:
+        arr.setflags(write=False)
+    return phi
+
+
+def _dd_rows(gh, gl, ge):
+    """Products over the members of every bitmask, as words and exponents: a
+    mask with top bit j extends mask - 2^j by g[j, mask - 2^j], or by g[j, 0]
+    when g has one column."""
+    n = len(gh)
+    th, tl, te = np.empty(1 << n), np.empty(1 << n), np.empty(1 << n, dtype=np.int64)
+    th[0], tl[0], te[0] = 1.0, 0.0, 0
+    for j in range(n):
+        s = 1 << j
+        th[s:2 * s], tl[s:2 * s] = _dd_mul(th[:s], tl[:s], gh[j, :s], gl[j, :s])
+        te[s:2 * s] = te[:s] + ge[j, :s]
+    return th, tl, te
+
+
 def _dd_expand(lam, horizon, mode):
     """Double-double evaluation of the expansion, in bitmask order.
 
@@ -527,42 +574,16 @@ def _dd_expand(lam, horizon, mode):
     sum|t| / |sum t|.  The per-eigenvalue scalars are formed in mpmath at
     DEFAULT_DPS digits and split into double-double mantissas and binary
     exponents; the tables multiply mantissas and add exponents, so powers
-    far below the double range keep their full precision.
+    far below the double range keep their full precision.  The distribution
+    factors come from the cached _dd_factor_table, whose entries hold the
+    bits a fresh build gives, so a warm call returns those of a cold one.
     """
     form, power = _EXPANSIONS[mode]
-    pair_den, self_den, absolute = _FACTOR_FORMS[form]
-    n = len(lam)
-    half = 1 << (n - 1)
-    _, _, _, sign, iu = _subset_order(n)
+    sign = _subset_order(len(lam))[3]
+    phi_h, phi_l, phi_e = _dd_factor_table(np.asarray(lam, dtype=float).tobytes(), form)
     with mp.workdps(DEFAULT_DPS):
-        x = [mpf(float(v)) for v in lam]
-        pairs = ((x[j] - x[i]) / pair_den(x[i], x[j]) for i, j in zip(*iu))
-        scalars = _dd_parts([*(power(v, horizon) for v in x), *(1 / self_den(v) for v in x),
-                             *(abs(p) if absolute else p for p in pairs)])
-    pw, inv = ([w[k * n:(k + 1) * n] for w in scalars] for k in (0, 1))
-    ph, pl, pe = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), dtype=np.int64)
-    ph[iu], pl[iu], pe[iu] = (w[2 * n:] for w in scalars)
-    # g[j, 0, m] = 1/self(j) * prod of pair(i, j) over the members i of m < 2^j,
-    # g[j, 1, m] = power(j): one doubling per member i, for every j > i at once
-    gh, gl = np.empty((n, 2, half)), np.empty((n, 2, half))
-    ge = np.empty((n, 2, half), dtype=np.int64)
-    gh[:, 0, 0], gl[:, 0, 0], ge[:, 0, 0] = inv
-    gh[:, 1], gl[:, 1], ge[:, 1] = (w[:, None] for w in pw)
-    for i in range(n - 1):
-        s, rest = 1 << i, slice(i + 1, n)
-        gh[rest, 0, s:2 * s], gl[rest, 0, s:2 * s] = _dd_mul(
-            gh[rest, 0, :s], gl[rest, 0, :s], ph[i, rest, None], pl[i, rest, None])
-        ge[rest, 0, s:2 * s] = ge[rest, 0, :s] + pe[i, rest, None]
-    # rows phi and ups over bitmasks: a mask with top bit j extends mask - 2^j
-    th, tl = np.empty((2, 1 << n)), np.empty((2, 1 << n))
-    te = np.empty((2, 1 << n), dtype=np.int64)
-    th[:, 0], tl[:, 0], te[:, 0] = 1.0, 0.0, 0
-    for j in range(n):
-        s = 1 << j
-        th[:, s:2 * s], tl[:, s:2 * s] = _dd_mul(th[:, :s], tl[:, :s], gh[j, :, :s],
-                                                 gl[j, :, :s])
-        te[:, s:2 * s] = te[:, :s] + ge[j, :, :s]
-    (phi_h, ups_h), (phi_l, ups_l), (phi_e, ups_e) = th, tl, te
+        pw = _dd_parts([power(mpf(float(v)), horizon) for v in lam])
+    ups_h, ups_l, ups_e = _dd_rows(*(w[:, None] for w in pw))
     # the complement of mask m is 2^n - 1 - m: the reversed table
     vh, vl = _dd_mul(ups_h, ups_l, phi_h, phi_l)
     vh, vl = _dd_mul(vh, vl, phi_h[::-1], phi_l[::-1])
@@ -914,7 +935,7 @@ def substitution_identity_residuals(lambdas, i, j, *, members=None):
 def _ensure_eigen(system):
     if isinstance(system, EigenStructure):
         return system
-    return diagonalize(system)
+    return system.eigen
 
 
 def _ensure_model(system):

@@ -23,6 +23,8 @@ import numpy as np
 from . import __version__
 from .analytic import (
     ROUTES,
+    _ensure_eigen,
+    _ensure_model,
     analytic_volume_sum,
     analytic_volume_sum_grouped,
     deletion_identity_residual,
@@ -38,7 +40,6 @@ from .model import (
     SpectrumError,
     StateSpaceModel,
     VolumeDomainError,
-    diagonalize,
     load_model,
     narrow_generators,
     reachability_generators,
@@ -178,7 +179,7 @@ def cmd_volume(args):
 
 def cmd_factors(args):
     system = _load(args.model)
-    eig = system if isinstance(system, EigenStructure) else diagonalize(system)
+    eig = _ensure_eigen(system)
     if args.mode == "continuous":
         if args.T is None:
             raise SystemExit(_fail(EXIT_USAGE, "continuous mode needs --T"))
@@ -253,9 +254,8 @@ def _median_time(fn, trials):
 
 def cmd_bench(args):
     system = _load(args.model)
-    model = system.to_model() if isinstance(system, EigenStructure) else system
-    eig = diagonalize(model)
-    lam = eig.eigenvalues
+    model = _ensure_model(system)
+    lam = model.eigen.eigenvalues
     n = model.n
     trials = args.trials if args.trials is not None else 5
     if trials < 1:

@@ -49,7 +49,6 @@ from .model import (
     VolumeDomainError,
     _nonsingular_det,
     classify_spectrum,
-    diagonalize,
     narrow_generators,
 )
 from .zonotope import determinant_count, symmetric_volume
@@ -90,6 +89,7 @@ class ContinuousModel:
         object.__setattr__(self, "A_c", pair.A)
         object.__setattr__(self, "B_c", pair.B)
         object.__setattr__(self, "T", T)
+        object.__setattr__(self, "_pair", pair)
 
     @classmethod
     def from_spectrum(cls, eigenvalues, modal_gains, T):
@@ -100,10 +100,10 @@ class ContinuousModel:
     def n(self):
         return self.A_c.shape[0]
 
-    @cached_property
+    @property
     def eigen(self):
         """The spectral form of (A_c, B_c), decomposed once per model."""
-        return diagonalize(StateSpaceModel(self.A_c, self.B_c))
+        return self._pair.eigen
 
     @cached_property
     def spectrum(self):

@@ -10,6 +10,7 @@ against the hypotheses of the closed-form volume routes.
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -84,15 +85,16 @@ class StateSpaceModel:
     """Discrete-time pair (A, B): x_{k+1} = A x_k + B u_k.
 
     A is n x n, B is n x r.  Entries must be finite; B given as a flat
-    vector is treated as a single-input column.
+    vector is treated as a single-input column.  Both are read-only copies,
+    so `eigen`, decomposed once per model, cannot go stale.
     """
 
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
+        A = np.array(self.A, dtype=float)
+        B = np.array(self.B, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if B.ndim == 1:
@@ -103,8 +105,9 @@ class StateSpaceModel:
             )
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
             raise ValueError("model matrices must be finite")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        for name, arr in (("A", A), ("B", B)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self):
@@ -113,6 +116,11 @@ class StateSpaceModel:
     @property
     def r(self):
         return self.B.shape[1]
+
+    @cached_property
+    def eigen(self):
+        """diagonalize(self), once per model; a decomposition that raises is not cached."""
+        return diagonalize(self)
 
 
 @dataclass(frozen=True)
@@ -126,6 +134,8 @@ class EigenStructure:
     The row scaling of `left_vectors` is immaterial to any volume computed
     from this structure: rescaling row i by alpha multiplies
     |det(left_vectors^-1)| by 1/|alpha| and |modal_gains[i]| by |alpha|.
+    The three arrays are read-only copies, so `volume_prefactor` is
+    computed once per structure.
     """
 
     eigenvalues: np.ndarray
@@ -133,9 +143,9 @@ class EigenStructure:
     modal_gains: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
-        W = np.asarray(self.left_vectors, dtype=float)
-        g = np.asarray(self.modal_gains, dtype=float).reshape(-1)
+        lam = np.array(self.eigenvalues, dtype=float).reshape(-1)
+        W = np.array(self.left_vectors, dtype=float)
+        g = np.array(self.modal_gains, dtype=float).reshape(-1)
         n = lam.size
         if W.shape != (n, n):
             raise ValueError(f"left_vectors must be {n}x{n}, got {W.shape}")
@@ -143,9 +153,9 @@ class EigenStructure:
             raise ValueError(f"expected {n} modal gains, got {g.size}")
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(W)) and np.all(np.isfinite(g))):
             raise ValueError("eigenstructure entries must be finite")
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "left_vectors", W)
-        object.__setattr__(self, "modal_gains", g)
+        for name, arr in (("eigenvalues", lam), ("left_vectors", W), ("modal_gains", g)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_spectrum(cls, eigenvalues, modal_gains=None):
@@ -178,7 +188,7 @@ class EigenStructure:
             raise ValueError("left eigenvector matrix is singular")
         return 1.0 / abs(d)
 
-    @property
+    @cached_property
     def volume_prefactor(self):
         """2**n |det(left_vectors^-1) prod(modal_gains)|.
 
@@ -294,6 +304,15 @@ def _real_ascending(w):
     return lam, order, None
 
 
+@lru_cache(maxsize=16)
+def _pair_index(n):
+    """np.triu_indices(n, 1), the pairs i < j in lexicographic order, read-only."""
+    pairs = np.triu_indices(n, 1)
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
+
+
 def classify_spectrum(lambdas, mode="discrete"):
     """Classify a spectrum for the closed-form volume routes.
 
@@ -317,13 +336,13 @@ def classify_spectrum(lambdas, mode="discrete"):
     if mode == "discrete":
         if np.any(np.abs(1.0 - lam) < EPS_SING):
             return SpectrumClass.NEAR_SINGULAR_FACTOR
-        prods = np.outer(lam, lam)[np.triu_indices(n, 1)]
+        prods = np.outer(lam, lam)[_pair_index(n)]
         if prods.size and np.any(np.abs(1.0 - prods) < EPS_SING):
             return SpectrumClass.NEAR_SINGULAR_FACTOR
     else:
         if np.any(np.abs(lam) < EPS_SING):
             return SpectrumClass.NEAR_SINGULAR_FACTOR
-        sums = np.add.outer(lam, lam)[np.triu_indices(n, 1)]
+        sums = np.add.outer(lam, lam)[_pair_index(n)]
         if sums.size and np.any(np.abs(sums) < EPS_SING):
             return SpectrumClass.NEAR_SINGULAR_FACTOR
 

@@ -18,6 +18,7 @@ from reachvol.analytic import (
     GUARD_DIGITS,
     MAX_DPS,
     SubsetTerm,
+    _dd_factor_table,
     _expand,
     _subset_tables,
     analytic_volume_sum,
@@ -750,6 +751,40 @@ class TestPrecisionPaths:
             assert [tuple(t) for t in terms] == expected
             tiny += any(0.0 < t.power < 2.0 ** -969 for t in terms)
         assert dd >= 20 and tiny >= 2
+
+    def test_warm_table_gives_the_cold_bits(self):
+        for lam, horizon, mode in _bit_cases():
+            _dd_factor_table.cache_clear()
+            cold = _expand(lam, horizon, mode)
+            assert _dd_factor_table.cache_info().currsize == 1
+            warm = _expand(lam, horizon, mode)
+            assert _dd_factor_table.cache_info().hits >= 1
+            assert repr(warm) == repr(cold)  # repr tells -0.0 from 0.0
+
+    def test_narrow_and_discrete_share_one_table(self):
+        # one table per spectrum and factor form, whichever mode built it
+        lam = np.array([0.3, 0.55, 0.7, 0.9])
+        cold = {}
+        for mode, horizon in (("discrete", 7), ("continuous", 1.5)):
+            _dd_factor_table.cache_clear()
+            cold[mode] = repr(_expand(lam, horizon, mode))
+        _dd_factor_table.cache_clear()
+        _expand(lam, 7, "narrow")
+        assert repr(_expand(lam, 7, "discrete")) == cold["discrete"]
+        assert repr(_expand(lam, 1.5, "continuous")) == cold["continuous"]
+        info = _dd_factor_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+    def test_table_cache_is_bounded_and_read_only(self):
+        rng = np.random.default_rng(72)
+        for _ in range(3 * _dd_factor_table.cache_info().maxsize):
+            lam = np.sort(rng.uniform(0.05, 0.95, 5))
+            _expand(lam, 9, "discrete")
+            info = _dd_factor_table.cache_info()
+            assert info.currsize <= info.maxsize == 8
+        for arr in _dd_factor_table(lam.tobytes(), "discrete_positive"):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     @pytest.mark.parametrize("N", [10, 10 ** 6])
     def test_underflowing_powers_stay_double_double(self, N):

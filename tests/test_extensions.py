@@ -1,5 +1,6 @@
 """Narrow regions, negative spectra, and continuous time."""
 
+import json
 import math
 import sys
 from itertools import combinations
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from reachvol import extensions
+from reachvol import cli, extensions
 from reachvol import model as reachvol_model
-from reachvol.analytic import full_volume, infinite_volume_sum
+from reachvol.analytic import _dd_factor_table, full_volume, infinite_volume_sum
 from reachvol.extensions import (
     ContinuousModel,
     ct_discretized_oracle,
@@ -290,9 +291,10 @@ class TestDispatchRules:
 
 
 def _count_spectral_work(monkeypatch):
-    """Counters of classify_spectrum (wrapped in every reachvol namespace, as
-    benchmark/tracer.py wraps it) and of numpy's eigendecompositions."""
-    counts = {"classify": 0, "eig": 0}
+    """Counters of classify_spectrum and diagonalize (wrapped in every reachvol
+    namespace, as benchmark/tracer.py wraps them) and of numpy's
+    eigendecompositions."""
+    counts = {"classify": 0, "diagonalize": 0, "eig": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -300,13 +302,14 @@ def _count_spectral_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    classify = reachvol_model.classify_spectrum
-    wrapped = counted("classify", classify)
-    for name, module in list(sys.modules.items()):
-        if module is not None and (name == "reachvol" or name.startswith("reachvol.")):
-            for attr, value in list(vars(module).items()):
-                if value is classify:
-                    monkeypatch.setattr(module, attr, wrapped)
+    for key, fn in (("classify", reachvol_model.classify_spectrum),
+                    ("diagonalize", reachvol_model.diagonalize)):
+        wrapped = counted(key, fn)
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "reachvol" or name.startswith("reachvol.")):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapped)
     monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigvals", counted("eig", np.linalg.eigvals))
     return counts
@@ -329,7 +332,26 @@ def test_one_classification_and_one_eigendecomposition_per_volume(
     rep = volume(model, horizon, mode, **kwargs)
     assert rep.route == route
     assert counts["classify"] <= 1
-    assert counts["eig"] == 1
+    assert counts["eig"] == counts["diagonalize"] == 1
+
+
+@pytest.mark.parametrize("mode", ["discrete", "narrow", "negative"])
+@pytest.mark.parametrize("top", [4, 40])
+def test_sweep_decomposes_and_tabulates_once(monkeypatch, tmp_path, capsys, mode, top):
+    # whatever its row count, a sweep on a matrix-form model diagonalizes
+    # once and builds the distribution-factor table once
+    lam = {"discrete": [0.3, 0.6, 0.9], "narrow": [1.25, 1.6, 2.0],
+           "negative": [-0.9, -0.6, -0.3]}[mode]
+    model = random_single_input(np.random.default_rng(9), np.array(lam))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": model.A.tolist(), "B": model.B.tolist()}))
+    counts = _count_spectral_work(monkeypatch)
+    _dd_factor_table.cache_clear()
+    assert cli.main(["sweep", "--model", str(path), "--N", str(top), "--mode", mode]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + top - 2
+    assert counts["eig"] == counts["diagonalize"] == 1
+    info = _dd_factor_table.cache_info()
+    assert (info.misses, info.hits) == (1, top - 3)
 
 
 class TestCtDiscretizedOracle:

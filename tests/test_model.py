@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachvol import model as model_module
 from reachvol.model import (
     EigenStructure,
     SpectrumClass,
@@ -43,6 +44,35 @@ class TestStateSpaceModel:
     def test_rejects_non_square_A(self):
         with pytest.raises(ValueError):
             StateSpaceModel(np.ones((2, 3)), np.ones((2, 1)))
+
+    def test_arrays_are_read_only_copies(self):
+        A, B = np.diag([0.3, 0.6]), np.ones(2)
+        m = StateSpaceModel(A, B)
+        for arr in (m.A, m.B):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # the caller's arrays stay writable, and writing them leaves the model
+        A[0, 0], B[0] = 0.9, 5.0
+        assert m.A[0, 0] == 0.3 and m.B[0, 0] == 1.0
+
+    def test_eigen_is_decomposed_once(self, monkeypatch):
+        m = random_single_input(np.random.default_rng(11), np.array([0.2, 0.5, 0.7]))
+        calls = []
+        monkeypatch.setattr(model_module, "diagonalize",
+                            lambda sys_: calls.append(sys_) or diagonalize(sys_))
+        assert m.eigen is m.eigen
+        assert len(calls) == 1
+        np.testing.assert_array_equal(m.eigen.eigenvalues, diagonalize(m).eigenvalues)
+
+    def test_refused_decomposition_is_not_cached(self, monkeypatch):
+        m = StateSpaceModel([[0.0, -1.0], [1.0, 0.0]], [[1.0], [0.0]])
+        calls = []
+        monkeypatch.setattr(model_module, "diagonalize",
+                            lambda sys_: calls.append(sys_) or diagonalize(sys_))
+        for _ in range(2):
+            with pytest.raises(SpectrumError):
+                m.eigen
+        assert len(calls) == 2
 
 
 @st.composite
@@ -267,6 +297,16 @@ class TestEigenStructure:
             W = eig.left_vectors * scale[:, None]
             scaled = EigenStructure(eig.eigenvalues, W, scale * eig.modal_gains)
             assert scaled.volume_prefactor == pytest.approx(base, rel=1e-12)
+
+    def test_arrays_are_read_only_copies(self):
+        lam, W, g = np.array([0.2, 0.7]), np.eye(2), np.array([1.0, 2.0])
+        eig = EigenStructure(lam, W, g)
+        for arr in (eig.eigenvalues, eig.left_vectors, eig.modal_gains):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        lam[0], W[0, 0], g[0] = 0.1, 3.0, 4.0
+        assert (eig.eigenvalues[0], eig.left_vectors[0, 0], eig.modal_gains[0]) == (0.2, 1.0, 1.0)
+        assert eig.volume_prefactor == 8.0
 
     def test_to_model_round_trip(self):
         rng = np.random.default_rng(14)

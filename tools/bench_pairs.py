@@ -18,6 +18,11 @@ Each tree also runs ``--trace 1`` once per workload, on the workload's first
 seed.  Its exit code, ``planned``, ``attempted``, ``pool_exhausted`` and
 per-layer metrics are recorded, not judged, so that a traced run that fails
 (for instance when a faster tree uses up the request pool) shows in the file.
+So is its headroom: ``traced_sent``, the distinct request indices in the spans
+file the run leaves at ``benchmark/_work/traces/W-S.spans.json``, and
+``untraced_sent``, the rest of ``attempted``.  The client traces as many blocks
+as the untraced half sent, so an untraced half that sends the whole planned
+pool leaves nothing to trace and the run fails.
 
 The file records the machine and the Python, numpy and mpmath versions (as
 the benchmark reports them), the seeds and run counts, every run's end-to-end
@@ -84,6 +89,9 @@ def _traced(tree, workload, seed, seconds):
     run.update(planned=detail["planned"], attempted=result["attempted"],
                pool_exhausted=detail["pool_exhausted"],
                layers={name: m["value"] for name, m in result["metrics"].items()})
+    spans = Path(tree) / "benchmark" / "_work" / "traces" / f"{workload}-{seed}.spans.json"
+    traced = len({span[4] for span in json.loads(spans.read_text())} - {None})
+    run.update(traced_sent=traced, untraced_sent=result["attempted"] - traced)
     return run
 
 
@@ -145,7 +153,8 @@ def main(argv=None):
         entry["traced"] = {side: _traced(trees[side], workload, seed, args.seconds)
                            for side in trees}
         print(f"{workload} seed {seed} traced: " + ", ".join(
-            f"{side} exit {run['exit']}, {run['attempted']} of {run['planned']}"
+            f"{side} exit {run['exit']}, {run['attempted']} of {run['planned']} "
+            f"(untraced {run.get('untraced_sent')}, traced {run.get('traced_sent')})"
             for side, run in entry["traced"].items()), file=sys.stderr, flush=True)
 
     for entry in workloads.values():
