@@ -1,13 +1,19 @@
-"""Byte-for-byte CLI output on a fixed set of expansion requests.
+"""Byte-for-byte CLI output on a fixed set of expansion and factor requests.
 
 Each case runs ``reachvol <command> --model tests/golden/<name>.json
 <args>`` and compares stdout with ``tests/golden/<name>.out``.  The models
-are in spectral form, so no eigendecomposition enters the bytes.  The
-expected files were written by the 40-digit mpmath kernel, before the
-double-double kernel replaced it.  Every case cancels by less than 1e20,
-where the kernel must reproduce those bytes exactly.  The cases cover each
-mode near its anchor and far out, n from 6 to 10, both precision paths, a
-far request whose smaller powers are subnormal, and a JSON sweep.
+are in spectral form, so no eigendecomposition enters the bytes.
+
+The volume and sweep files were written by the 40-digit mpmath kernel,
+before the double-double kernel replaced it.  Every such case cancels by
+less than 1e20, where the kernel must reproduce those bytes exactly.  They
+cover each mode near its anchor and far out, n from 6 to 10, both precision
+paths, a far request whose smaller powers are subnormal, and a JSON sweep.
+
+The ``factors*`` files pin the capability-factor reports, one per horizon
+kind, in both output formats.  The four positive-spectrum kinds were
+written by the code as it stood before the distribution-factor forms moved
+into ``reachvol.model``, so they also pin that move.
 """
 
 from pathlib import Path
@@ -35,6 +41,10 @@ CASES = {
     "continuous8_mid": ("volume", ["--T", "4.0", "--mode", "continuous"]),  # 1.2e8
     "continuous9_far": ("volume", ["--T", "18.0", "--mode", "continuous"]),    # 2.2
     "sweep6_json": ("sweep", ["--N", "14", "--format", "json"]),            # 3.1e8 .. 3.1e2
+    "factors5_finite": ("factors", ["--N", "12"]),
+    "factors4_infinite": ("factors", ["--format", "csv"]),
+    "factors6_narrow": ("factors", ["--N", "9", "--mode", "narrow"]),
+    "factors5_continuous": ("factors", ["--T", "2.5", "--mode", "continuous", "--format", "csv"]),
 }
 
 
