@@ -16,7 +16,8 @@ the 2^n coordinate/gain prefactor) admits three routes:
 One private kernel evaluates the expansion for every route that uses it:
 the reachable region (powers lambda^N), the narrow region (lambda^-N) and
 continuous time (exp(lambda T)), which differ only in the power and in
-the pairwise and per-eigenvalue factor formulas.  It builds each subset's
+the pairwise and per-eigenvalue factor denominators, read from the one table
+of factor forms in :mod:`reachvol.model`.  It builds each subset's
 factors from the subset without its largest member, O(2^n n) in all, and
 returns the terms and their total from one pass.
 
@@ -53,6 +54,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .model import (
+    _FACTOR_FORMS,
     EPS_SING,
     EigenStructure,
     SingularFactorError,
@@ -162,17 +164,6 @@ def _check_sorted_spectrum(lam):
         raise ValueError("spectrum must be sorted ascending")
 
 
-# Distribution-factor forms: pairwise denominator (the pairwise numerator is
-# always l_k - l_i for i < k), per-eigenvalue denominator, and whether the
-# pairwise product enters by magnitude.  Written once for floats
-# (distribution_factor) and mpmath numbers (the expansion kernel).
-_FACTOR_FORMS = {
-    "discrete_positive": (lambda a, b: 1 - a * b, lambda x: 1 - x, False),
-    "discrete_negative_abs": (lambda a, b: 1 - a * b, lambda x: 1 + x, True),
-    "continuous": (lambda a, b: a + b, lambda x: x, True),
-}
-
-
 def distribution_factor(lambdas, mode="discrete_positive"):
     """Product of pairwise and per-eigenvalue distribution factors.
 
@@ -198,10 +189,20 @@ def distribution_factor(lambdas, mode="discrete_positive"):
     lam = [float(x) for x in np.asarray(lambdas, dtype=float).ravel()]
     if mode not in _FACTOR_FORMS:
         raise ValueError(f"unknown mode {mode!r}")
-    pair_den, self_den, absolute = _FACTOR_FORMS[mode]
+    return _factor_product(lam, mode)
+
+
+def _factor_product(lam, form, skip_pair=None, skip_self=None):
+    """distribution_factor of the float list `lam` in `form`, without the
+    denominator of the pair skip_pair = (i, k), i < k, or of the eigenvalue
+    skip_self (0-based positions), so it stays finite where that one vanishes."""
+    pair_den, self_den, absolute = _FACTOR_FORMS[form]
     pair = 1.0
     for i in range(len(lam)):
         for k in range(i + 1, len(lam)):
+            if (i, k) == skip_pair:
+                pair *= lam[k] - lam[i]
+                continue
             den = pair_den(lam[i], lam[k])
             if abs(den) < EPS_SING:
                 raise SingularFactorError(
@@ -213,6 +214,8 @@ def distribution_factor(lambdas, mode="discrete_positive"):
         pair = abs(pair)
     out = pair
     for i, x in enumerate(lam):
+        if i == skip_self:
+            continue
         den = self_den(x)
         if abs(den) < EPS_SING:
             raise SingularFactorError(
@@ -824,9 +827,9 @@ def substitution_identity_residuals(lambdas, i, j, *, members=None):
 
     `lambdas` is the ambient spectrum (strictly ascending); `members` picks
     the index subset the factor is built over (default: all); i < j are
-    1-based ambient indices.  The three left-hand sides are evaluated by
-    substituting into factored forms that stay finite at the substitution
-    point:
+    1-based ambient indices.  Each left-hand side is the factor over the
+    members at the substitution point with the denominator that vanishes
+    there left out (_factor_product), so it stays finite:
 
     1. Phi at lambda_j := lambda_i -- zero when both are members, a signed
        member swap when only lambda_j is, unchanged when lambda_j is not.
@@ -851,54 +854,36 @@ def substitution_identity_residuals(lambdas, i, j, *, members=None):
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}")
     vals = {k: float(lam[k - 1]) for k in members}
-    mem_vals = [vals[k] for k in members]
     m = len(members)
 
     def pos(k):
         return members.index(k) + 1  # 1-based position within members
 
+    def at(k_sub, value):  # the member values with lambda_k_sub := value
+        return [value if k == k_sub else vals[k] for k in members]
+
+    def without(*drop):
+        return [vals[k] for k in members if k not in drop]
+
     # --- case 1: Phi at lambda_j := lambda_i --------------------------------
     x = float(lam[i - 1])
     if j not in members:
-        r1 = distribution_factor(mem_vals) - distribution_factor(mem_vals)
+        r1 = distribution_factor(without()) - distribution_factor(without())
     elif i in members:
-        subst = [x if k == j else vals[k] for k in members]
-        r1 = distribution_factor(subst) - 0.0
+        r1 = distribution_factor(at(j, x)) - 0.0
     else:
-        s = pos(j)
-        rest = [vals[k] for k in members if k != j]
-        lhs = distribution_factor(rest) / (1.0 - x)
-        for q, k in enumerate(members, start=1):
-            if k == j:
-                continue
-            y = vals[k]
-            den = 1.0 - x * y
-            if abs(den) < EPS_SING or abs(1.0 - x) < EPS_SING:
-                raise SingularFactorError(
-                    f"substitution point collides with lambda_{k} in case 1")
-            lhs *= ((x - y) if q < s else (y - x)) / den
-        h = sum(1 for k in members if k < i)
-        new_set = sorted(rest + [x])
-        rhs = (1.0 if (s - h - 1) % 2 == 0 else -1.0) * distribution_factor(new_set)
-        r1 = lhs - rhs
+        s, h = pos(j), sum(1 for k in members if k < i)
+        rhs = (1.0 if (s - h - 1) % 2 == 0 else -1.0) * \
+            distribution_factor(sorted(without(j) + [x]))
+        r1 = distribution_factor(at(j, x)) - rhs
 
     # --- case 2: (1 - lambda_i) * Phi at lambda_i := 1 ----------------------
     if i not in members:
-        r2 = 0.0 * distribution_factor(mem_vals)
+        r2 = 0.0 * distribution_factor(without())
     else:
         h = pos(i)
-        rest = [vals[k] for k in members if k != i]
-        lhs = distribution_factor(rest)
-        for q, k in enumerate(members, start=1):
-            if k == i:
-                continue
-            y = vals[k]
-            den = 1.0 - y  # 1 - y*x at x = 1
-            if abs(den) < EPS_SING:
-                raise SingularFactorError(
-                    f"substitution point collides with lambda_{k} in case 2")
-            lhs *= ((1.0 - y) if q < h else (y - 1.0)) / den
-        rhs = (1.0 if (m - h) % 2 == 0 else -1.0) * distribution_factor(rest)
+        lhs = _factor_product(at(i, 1.0), "discrete_positive", skip_self=h - 1)
+        rhs = (1.0 if (m - h) % 2 == 0 else -1.0) * distribution_factor(without(i))
         r2 = lhs - rhs
 
     # --- case 3: (1 - lambda_i lambda_j) * Phi at lambda_j := 1/lambda_i ----
@@ -906,28 +891,13 @@ def substitution_identity_residuals(lambdas, i, j, *, members=None):
         raise SingularFactorError("lambda_i near 0 is inadmissible in case 3")
     y_sub = 1.0 / x
     if i in members and j in members:
-        if abs(1.0 - x) < EPS_SING:
-            raise SingularFactorError("lambda_i near 1 is inadmissible in case 3")
         h, s = pos(i), pos(j)
-        rest = [vals[k] for k in members if k not in (i, j)]
-        lhs = (y_sub - x) * distribution_factor(rest) / ((1.0 - x) * (1.0 - y_sub))
-        for q, k in enumerate(members, start=1):
-            if k in (i, j):
-                continue
-            y = vals[k]
-            d1 = 1.0 - y * x
-            d2 = 1.0 - y * y_sub
-            if abs(d1) < EPS_SING or abs(d2) < EPS_SING:
-                raise SingularFactorError(
-                    f"substitution point collides with lambda_{k} in case 3")
-            lhs *= ((x - y) if q < h else (y - x)) / d1
-            lhs *= ((y_sub - y) if q < s else (y - y_sub)) / d2
+        lhs = _factor_product(at(j, y_sub), "discrete_positive", skip_pair=(h - 1, s - 1))
         rhs = (1.0 if (s - h) % 2 == 0 else -1.0) * (1.0 + x) / (1.0 - x) \
-            * distribution_factor(rest)
+            * distribution_factor(without(i, j))
         r3 = lhs - rhs
     else:
-        subst = [y_sub if k == j else vals[k] for k in members]
-        r3 = (1.0 - x * y_sub) * distribution_factor(subst)
+        r3 = (1.0 - x * y_sub) * distribution_factor(at(j, y_sub))
 
     return (r1, r2, r3)
 

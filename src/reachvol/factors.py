@@ -6,7 +6,9 @@ the poles are distributed (pairwise eigenvalue coupling), the side lengths
 of the circumscribed rhombohedron (per-mode horizon-dependent reach), and
 the modal controllability |q_i b| (how strongly the input drives each
 mode).  The cross factor couples an eigenvalue subset to its complement
-and is what regroups the subset expansion into its factored print.
+and is what regroups the subset expansion into its factored print.  The
+shape factor's pairwise denominators are those of the distribution-factor
+forms in :mod:`reachvol.model`.
 """
 
 import math
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _FACTOR_FORMS
-from .model import EPS_SING, SingularFactorError, VolumeDomainError
+from .model import (_FACTOR_FORMS, _MODE_FORMS, EPS_SING, SingularFactorError,
+                    VolumeDomainError, _pair_index)
 
 __all__ = [
     "FactorReport",
@@ -46,13 +48,6 @@ class FactorReport:
     p_minus: tuple
 
 
-def _pair_value(a, b, mode):
-    den = _FACTOR_FORMS["discrete_positive" if mode == "discrete" else mode][0](a, b)
-    if abs(den) < EPS_SING:
-        return math.inf
-    return abs((b - a) / den)
-
-
 def shape_factor(lambdas, mode="discrete"):
     """Pole-distribution (eigenvalue evenness) factor.
 
@@ -68,7 +63,7 @@ def shape_factor(lambdas, mode="discrete"):
         If an eigenvalue sits on the partition threshold, or a pair inside
         one partition side has a vanishing denominator.
     """
-    if mode not in ("discrete", "continuous"):
+    if mode not in _MODE_FORMS:
         raise ValueError(f"unknown mode {mode!r}")
     lam = [float(x) for x in np.asarray(lambdas, dtype=float).ravel()]
     n = len(lam)
@@ -82,11 +77,12 @@ def shape_factor(lambdas, mode="discrete"):
     p_plus = tuple(i + 1 for i, x in enumerate(lam) if x > thresh)
     p_minus = tuple(i + 1 for i, x in enumerate(lam) if x < thresh)
 
+    x, (a, b) = np.array(lam), _pair_index(n)
+    den = _FACTOR_FORMS[_MODE_FORMS[mode]][0](x[a], x[b])
     pairs = np.ones((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = _pair_value(lam[a], lam[b], mode)
-            pairs[a, b] = pairs[b, a] = v
+    with np.errstate(all="ignore"):  # the entries at a vanishing den are replaced
+        pairs[a, b] = np.where(np.abs(den) < EPS_SING, math.inf, np.abs((x[b] - x[a]) / den))
+    pairs[b, a] = pairs[a, b]
 
     f1 = 1.0
     for side in (p_plus, p_minus):

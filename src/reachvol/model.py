@@ -5,6 +5,10 @@ and the volume machinery: building the generator matrices of reachable and
 narrow controllable regions, diagonalizing single-input systems into
 (eigenvalues, unit left eigenvectors, modal gains), and classifying spectra
 against the hypotheses of the closed-form volume routes.
+
+The denominators of every closed-form factor are written once, in the
+table of distribution-factor forms here, which classification guards and
+the expansion, its identities and the shape factor divide by.
 """
 
 import json
@@ -38,6 +42,18 @@ __all__ = [
 EPS_DISTINCT = 1e-8
 EPS_SING = 1e-10
 EPS_COMPLEX = 1e-10
+
+# Distribution-factor forms: pairwise denominator (the pairwise numerator is
+# always l_k - l_i for i < k), per-eigenvalue denominator, and whether the
+# pairwise product enters by magnitude.  Written once for floats, numpy
+# arrays and mpmath numbers.
+_FACTOR_FORMS = {
+    "discrete_positive": (lambda a, b: 1 - a * b, lambda x: 1 - x, False),
+    "discrete_negative_abs": (lambda a, b: 1 - a * b, lambda x: 1 + x, True),
+    "continuous": (lambda a, b: a + b, lambda x: x, True),
+}
+# per spectrum mode, the form classify_spectrum and shape_factor read
+_MODE_FORMS = {"discrete": "discrete_positive", "continuous": "continuous"}
 
 
 class SpectrumClass(Enum):
@@ -318,11 +334,11 @@ def classify_spectrum(lambdas, mode="discrete"):
 
     Checks run in priority order Complex > Degenerate > NearSingularFactor >
     MixedSign, and only then the admissible classes.  `mode` selects which
-    factor denominators are checked for singularity: "discrete" guards
-    1 - lambda_i and 1 - lambda_i*lambda_j, "continuous" guards lambda_i
-    and the pairwise sums lambda_i + lambda_j.
+    factor denominators of _FACTOR_FORMS are checked for singularity:
+    "discrete" guards 1 - lambda_i and 1 - lambda_i*lambda_j, "continuous"
+    guards lambda_i and the pairwise sums lambda_i + lambda_j.
     """
-    if mode not in ("discrete", "continuous"):
+    if mode not in _MODE_FORMS:
         raise ValueError(f"unknown mode {mode!r}")
 
     arr = np.asarray(lambdas)
@@ -331,20 +347,12 @@ def classify_spectrum(lambdas, mode="discrete"):
     lam, _, defect = _real_ascending(arr)
     if defect is not None:
         return defect
-    n = lam.size
 
-    if mode == "discrete":
-        if np.any(np.abs(1.0 - lam) < EPS_SING):
-            return SpectrumClass.NEAR_SINGULAR_FACTOR
-        prods = np.outer(lam, lam)[_pair_index(n)]
-        if prods.size and np.any(np.abs(1.0 - prods) < EPS_SING):
-            return SpectrumClass.NEAR_SINGULAR_FACTOR
-    else:
-        if np.any(np.abs(lam) < EPS_SING):
-            return SpectrumClass.NEAR_SINGULAR_FACTOR
-        sums = np.add.outer(lam, lam)[_pair_index(n)]
-        if sums.size and np.any(np.abs(sums) < EPS_SING):
-            return SpectrumClass.NEAR_SINGULAR_FACTOR
+    pair_den, self_den, _ = _FACTOR_FORMS[_MODE_FORMS[mode]]
+    i, j = _pair_index(lam.size)
+    if np.any(np.abs(self_den(lam)) < EPS_SING) or \
+            np.any(np.abs(pair_den(lam[i], lam[j])) < EPS_SING):
+        return SpectrumClass.NEAR_SINGULAR_FACTOR
 
     if lam[0] > 0.0:
         return SpectrumClass.ALL_POSITIVE_DISTINCT

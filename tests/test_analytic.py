@@ -20,6 +20,7 @@ from reachvol.analytic import (
     SubsetTerm,
     _dd_factor_table,
     _expand,
+    _factor_product,
     _subset_tables,
     analytic_volume_sum,
     analytic_volume_sum_grouped,
@@ -36,6 +37,7 @@ from reachvol.analytic import (
 )
 from reachvol.extensions import ContinuousModel, ct_volume_analytic, narrow_volume_analytic
 from reachvol.model import (
+    _FACTOR_FORMS,
     EigenStructure,
     SingularFactorError,
     SpectrumClass,
@@ -159,6 +161,37 @@ class TestDistributionFactor:
     def test_singular_per_eigenvalue_named(self):
         with pytest.raises(SingularFactorError, match="lambda_2"):
             distribution_factor([0.5, 1.0])
+
+
+class TestFactorProduct:
+    """_factor_product, the distribution factor that can leave out one denominator."""
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_left_out_denominator_times_the_factor(self, lam):
+        n = len(lam)
+        for form, (pair_den, self_den, absolute) in _FACTOR_FORMS.items():
+            # the pairwise product enters by magnitude in the absolute forms,
+            # and with it a left-out pairwise denominator
+            dens = {("skip_pair", (i, k)): abs(pair_den(lam[i], lam[k])) if absolute
+                    else pair_den(lam[i], lam[k]) for i, k in combinations(range(n), 2)}
+            dens.update({("skip_self", i): self_den(x) for i, x in enumerate(lam)})
+            if min(abs(d) for d in dens.values()) < 1e-3:
+                continue
+            full = distribution_factor(lam, form)
+            assert repr(_factor_product(lam, form)) == repr(full)
+            for (name, at), den in dens.items():
+                got = _factor_product(lam, form, **{name: at})
+                assert abs(got - den * full) <= 1e-13 * abs(den * full), (form, name, at)
+
+    def test_left_out_denominator_may_vanish(self):
+        # 1 - 0.5 * 2 = 0 and 1 - 1 = 0: each product is finite without its zero
+        assert _factor_product([0.5, 2.0], "discrete_positive", skip_pair=(0, 1)) == \
+            pytest.approx(1.5 / (0.5 * -1.0))
+        assert _factor_product([0.5, 1.0], "discrete_positive", skip_self=1) == \
+            pytest.approx(0.5 / 0.5 / 0.5)
+        with pytest.raises(SingularFactorError, match="lambda_2"):
+            _factor_product([0.5, 1.0], "discrete_positive", skip_pair=(0, 1))
 
 
 class TestPowerFactor:
@@ -468,6 +501,21 @@ class TestSubstitutionIdentities:
             j = int(rng.integers(i + 1, n + 1))
             r1, r2, r3 = substitution_identity_residuals(lam, i, j)
             assert max(abs(r1), abs(r2), abs(r3)) < 1e-11
+
+    @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_drawn_members(self, n, seed, data):
+        lam = random_spectrum(np.random.default_rng(seed), n)
+        i = data.draw(st.integers(1, n - 1))
+        j = data.draw(st.integers(i + 1, n))
+        members = tuple(sorted(data.draw(st.sets(st.integers(1, n)))))
+        r = substitution_identity_residuals(lam, i, j, members=members)
+        assert max(map(abs, r)) < 1e-11
+
+    def test_singular_substitution_point_raises(self):
+        # lambda_j := lambda_i = 0.5 meets the reciprocal member 2.0
+        with pytest.raises(SingularFactorError):
+            substitution_identity_residuals([0.5, 0.9, 2.0], 1, 2, members=(2, 3))
 
     def test_unit_lambda_inadmissible_in_case3(self):
         with pytest.raises(SingularFactorError):

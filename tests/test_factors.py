@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachvol.analytic import analytic_volume_terms, full_volume
 from reachvol.factors import (
@@ -14,6 +16,7 @@ from reachvol.factors import (
     side_lengths,
 )
 from reachvol.model import (
+    EPS_SING,
     EigenStructure,
     SingularFactorError,
     StateSpaceModel,
@@ -57,6 +60,27 @@ class TestShapeFactor:
         _, pairs, _ = shape_factor(lam)
         assert np.allclose(pairs, pairs.T)
         assert np.all(pairs > 0.0)
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_pair_matrix_matches_scalar_loop(self, lam, data):
+        # a point near a reciprocal (discrete) or an opposite (continuous)
+        # makes an inf entry where the pair straddles the partition
+        x = data.draw(st.sampled_from(lam))
+        lam.append(data.draw(st.sampled_from([1.0 / x if x else 2.0, -x]))
+                   + data.draw(st.sampled_from([0.0, 5e-11, -1e-10, 1e-9])))
+        for mode in ("discrete", "continuous"):
+            try:
+                _, pairs, _ = shape_factor(lam, mode)
+            except SingularFactorError:
+                continue
+            ref = np.ones((len(lam), len(lam)))
+            for a in range(len(lam)):
+                for b in range(a + 1, len(lam)):
+                    den = 1.0 - lam[a] * lam[b] if mode == "discrete" else lam[a] + lam[b]
+                    ref[a, b] = ref[b, a] = math.inf if abs(den) < EPS_SING \
+                        else abs((lam[b] - lam[a]) / den)
+            assert repr(pairs.tolist()) == repr(ref.tolist())
 
     def test_depends_only_on_spectrum(self):
         lam = [0.2, 0.6, 0.9]

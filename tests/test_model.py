@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from reachvol import model as model_module
 from reachvol.model import (
+    EPS_SING,
     EigenStructure,
     SpectrumClass,
     SpectrumError,
@@ -317,7 +318,50 @@ class TestEigenStructure:
         assert np.allclose(back.B, model.B, atol=1e-10)
 
 
+@st.composite
+def _guarded_spectra(draw):
+    """Spectra with points within a few EPS_SING of the factor singularities:
+    of 1 and 0, of a reciprocal of another point, of an opposite one."""
+    lam = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5, unique=True))
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(st.sampled_from(lam))
+        near = draw(st.sampled_from([1.0, 0.0, 1.0 / x if x else 2.0, -x]))
+        lam.append(near + draw(st.sampled_from([0.0, 5e-11, -5e-11, 1e-10, -1e-10, 2e-10])))
+    return lam
+
+
+def _hand_written_class(lambdas, mode):
+    """classify_spectrum's rule with its denominators written out by hand."""
+    lam, _, defect = model_module._real_ascending(np.asarray(lambdas))
+    if defect is not None:
+        return defect
+    iu = np.triu_indices(lam.size, 1)
+    if mode == "discrete":
+        if np.any(np.abs(1.0 - lam) < EPS_SING):
+            return SpectrumClass.NEAR_SINGULAR_FACTOR
+        prods = np.outer(lam, lam)[iu]
+        if prods.size and np.any(np.abs(1.0 - prods) < EPS_SING):
+            return SpectrumClass.NEAR_SINGULAR_FACTOR
+    else:
+        if np.any(np.abs(lam) < EPS_SING):
+            return SpectrumClass.NEAR_SINGULAR_FACTOR
+        sums = np.add.outer(lam, lam)[iu]
+        if sums.size and np.any(np.abs(sums) < EPS_SING):
+            return SpectrumClass.NEAR_SINGULAR_FACTOR
+    if lam[0] > 0.0:
+        return SpectrumClass.ALL_POSITIVE_DISTINCT
+    if lam[-1] < 0.0:
+        return SpectrumClass.ALL_NEGATIVE_DISTINCT
+    return SpectrumClass.MIXED_SIGN
+
+
 class TestClassifySpectrum:
+    @given(_guarded_spectra())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_agrees_with_hand_written_denominators(self, lam):
+        for mode in ("discrete", "continuous"):
+            assert classify_spectrum(lam, mode) is _hand_written_class(lam, mode)
+
     def test_all_positive(self):
         assert classify_spectrum([0.3, 0.5, 0.9]) is SpectrumClass.ALL_POSITIVE_DISTINCT
 
