@@ -135,36 +135,33 @@ def cross_factor(subset, complement, lambdas):
 def side_lengths(eig, mode, horizon=None):
     """Circumscribed-rhombohedron side lengths per mode, by horizon kind.
 
-    mode "finite" (steps N): |q_i b| * |1 - l_i**N| / |1 - l_i|
-    mode "infinite":         |q_i b| / (1 - |l_i|), needs |l_i| < 1
-    mode "narrow" (steps N): |q_i b| * |1 - l_i**-N| / |1 - l_i|
-    mode "continuous" (T):   |q_i b| * |1 - exp(l_i T)| / |l_i|
+    Each is the region's half-width |q_i b| sum_k |l_i|^k along mode i, the
+    sum over the steps k = 0..N-1 (finite), k >= 0 (infinite) or
+    k = -N..-1 (narrow), and its integral for continuous time:
 
-    Values are reported as magnitudes throughout.
+    mode "finite" (steps N): |q_i b| * |1 - |l_i|**N| / |1 - |l_i||
+    mode "infinite":         |q_i b| / (1 - |l_i|), needs |l_i| < 1
+    mode "narrow" (steps N): |q_i b| * |1 - |l_i|**-N| / |1 - |l_i||
+    mode "continuous" (T):   |q_i b| * |1 - exp(l_i T)| / |l_i|
     """
     lam = eig.eigenvalues
+    mag = np.abs(lam)
     gains = np.abs(eig.modal_gains)
     if mode == "infinite":
-        if np.any(np.abs(lam) >= 1.0 - EPS_SING):
+        if np.any(mag >= 1.0 - EPS_SING):
             raise VolumeDomainError(
                 "infinite-horizon side lengths need |lambda_i| < 1")
-        return tuple(float(g / (1.0 - abs(x))) for g, x in zip(gains, lam))
+        return tuple(float(g / (1.0 - x)) for g, x in zip(gains, mag))
     if horizon is None:
         raise ValueError(f"mode {mode!r} needs a horizon")
-    if mode == "finite":
-        N = int(horizon)
-        if np.any(np.abs(1.0 - lam) < EPS_SING):
-            raise VolumeDomainError("finite side lengths undefined at lambda = 1")
-        return tuple(float(g * abs(1.0 - x ** N) / abs(1.0 - x))
-                     for g, x in zip(gains, lam))
-    if mode == "narrow":
-        N = int(horizon)
-        if np.any(np.abs(lam) < EPS_SING):
+    if mode in ("finite", "narrow"):
+        N = int(horizon) if mode == "finite" else -int(horizon)
+        if mode == "narrow" and np.any(mag < EPS_SING):
             raise VolumeDomainError("narrow side lengths undefined at lambda = 0")
-        if np.any(np.abs(1.0 - lam) < EPS_SING):
-            raise VolumeDomainError("narrow side lengths undefined at lambda = 1")
-        return tuple(float(g * abs(1.0 - x ** (-N)) / abs(1.0 - x))
-                     for g, x in zip(gains, lam))
+        if np.any(np.abs(1.0 - mag) < EPS_SING):
+            raise VolumeDomainError(f"{mode} side lengths undefined at lambda = 1")
+        return tuple(float(g * abs(1.0 - x ** N) / abs(1.0 - x))
+                     for g, x in zip(gains, mag))
     if mode == "continuous":
         T = float(horizon)
         if np.any(np.abs(lam) < EPS_SING):

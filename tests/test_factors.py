@@ -1,5 +1,6 @@
 """Capability factor deconstruction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from reachvol.model import (
     StateSpaceModel,
     VolumeDomainError,
     diagonalize,
+    narrow_generators,
+    reachability_generators,
 )
 from reachvol.sampling import random_single_input, random_spectrum
 
@@ -141,6 +144,27 @@ class TestSideLengths:
         inf_vals = np.array(side_lengths(eig, "infinite"))
         fin_vals = np.array(side_lengths(eig, "finite", 200))
         assert np.allclose(fin_vals, inf_vals, rtol=1e-12)
+
+    def test_negative_eigenvalue_half_width(self):
+        # u_k = (-1)^k keeps every step's contribution to the mode positive:
+        # 1 + 0.5 at N = 2, and the finite widths converge to the infinite one
+        eig = EigenStructure.from_spectrum([-0.5], [1.0])
+        assert side_lengths(eig, "finite", 2) == (1.5,)
+        (fin,), (inf,) = side_lengths(eig, "finite", 200), side_lengths(eig, "infinite")
+        assert inf == 2.0 and abs(fin - inf) <= 1e-12
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 10])
+    def test_mixed_sign_matches_brute_force_half_widths(self, N):
+        # each side length is the largest |q_i x| over the vertices x of the
+        # region, the images of the 2^N sign inputs
+        model = StateSpaceModel([[-0.4, 0.9], [0.3, 0.5]], [[1.0], [-0.6]])
+        eig = diagonalize(model)
+        assert eig.eigenvalues[0] < 0.0 < eig.eigenvalues[1]
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=N))).T
+        for mode, G in (("finite", reachability_generators(model, N)),
+                        ("narrow", narrow_generators(model, N))):
+            widths = np.max(np.abs(eig.left_vectors @ G @ signs), axis=1)
+            np.testing.assert_allclose(side_lengths(eig, mode, N), widths, rtol=1e-12)
 
     def test_infinite_requires_subunit(self):
         eig = EigenStructure.from_spectrum([1.5], [1.0])

@@ -13,11 +13,16 @@ paths, a far request whose smaller powers are subnormal, and a JSON sweep.
 The ``factors*`` files pin the capability-factor reports, one per horizon
 kind, in both output formats.  The four positive-spectrum kinds were
 written by the code as it stood before the distribution-factor forms moved
-into ``reachvol.model``, so they also pin that move.
+into ``reachvol.model``, so they also pin that move.  The negative-spectrum
+case was written after the side lengths took |lambda|, and its side lengths
+are checked against the half-widths of the region's 2^N vertices.
 """
 
+import itertools
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reachvol.cli import main
@@ -45,6 +50,7 @@ CASES = {
     "factors4_infinite": ("factors", ["--format", "csv"]),
     "factors6_narrow": ("factors", ["--N", "9", "--mode", "narrow"]),
     "factors5_continuous": ("factors", ["--T", "2.5", "--mode", "continuous", "--format", "csv"]),
+    "factors3_negative": ("factors", ["--N", "8", "--mode", "negative"]),
 }
 
 
@@ -55,3 +61,14 @@ def test_stdout_matches_golden(capsys, name):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_negative_side_lengths_are_brute_force_half_widths():
+    # spectral form: the modal coordinates are the state's, and the vertices
+    # are sum_k lambda^k beta u_k over the sign inputs u
+    model = json.loads((GOLDEN / "factors3_negative.json").read_text())
+    report = json.loads((GOLDEN / "factors3_negative.out").read_text())
+    lam, beta = np.array(model["lambda"]), np.array(model["beta"])
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=8))).T
+    widths = np.max(np.abs((beta[:, None] * lam[:, None] ** np.arange(8)) @ signs), axis=1)
+    np.testing.assert_allclose(report["F2"], widths, rtol=1e-14)
