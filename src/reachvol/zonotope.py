@@ -93,9 +93,11 @@ def _pair_sums(Y):
     Y has shape (..., 2, m).  Folded into the upper half-plane
     (:func:`_fold`) and sorted by angle, each det(y_j, y_k) with y_j before
     y_k is nonnegative, and the pair sum is sum_k det(y_1 + ... + y_(k-1), y_k).
+    The angle order is that of :func:`_weighted_pair_sums`, by the cotangent.
     """
     x, y = _fold(Y)
-    order = np.argsort(np.arctan2(y, x), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = np.argsort(-(x / np.abs(y)), axis=-1)
     x = np.take_along_axis(x, order, axis=-1)
     y = np.take_along_axis(y, order, axis=-1)
     sx = np.cumsum(x, axis=-1)[..., :-1]
@@ -103,20 +105,25 @@ def _pair_sums(Y):
     return np.sum(sx * y[..., 1:] - sy * x[..., 1:], axis=-1)
 
 
-def _eliminate(G):
-    """Gaussian elimination with partial pivoting of stacked n-by-k prefixes.
+def _eliminate(G, scale):
+    """Gaussian elimination with scaled partial pivoting of stacked n-by-k prefixes.
 
-    Returns |det| of each prefix's k pivot rows and the 2-by-n map S that
-    the same row operations apply to later columns: |det[G, x, y]| =
-    |det| * |det(S x, S y)|.  A zero row of G is never a pivot and stays
+    Row r's pivot candidate is |a_ri| / scale[r], with scale the largest
+    |entry| of each row of the whole generator matrix (1 for a zero row), so
+    the row of a fast-growing mode does not swamp the small modes' later
+    components.  Returns |det| of each prefix's k pivot rows and the 2-by-n
+    map S that the same row operations apply to later columns: |det[G, x, y]|
+    = |det| * |det(S x, S y)|.  A zero row of G is never a pivot and stays
     exact, so generators in a coordinate hyperplane give exactly zero.
     """
     b, n, k = G.shape
     M = np.concatenate([G, np.broadcast_to(np.eye(n), (b, n, n))], axis=2)
+    s = np.repeat(scale[None, :], b, axis=0)
     rows = np.arange(b)
     for i in range(k):
-        piv = i + np.argmax(np.abs(M[:, i:, i]), axis=1)
+        piv = i + np.argmax(np.abs(M[:, i:, i]) / s[:, i:], axis=1)
         M[rows, piv], M[:, i] = M[:, i], M[rows, piv]
+        s[rows, piv], s[:, i] = s[:, i], s[rows, piv]
         p = M[:, i, i]
         # a zero pivot means a zero column below it too: the prefix is flat
         lower = M[:, i + 1:, i] / np.where(p == 0.0, 1.0, p)[:, None]
@@ -247,12 +254,14 @@ def _prefix_sum(A, prefixes, per_batch, w=None):
     per-column weights `w` if given, in batches of `per_batch` prefixes,
     with exact summation of the partials."""
     n, m = A.shape
+    scale = np.max(np.abs(A), axis=1)
+    scale[scale == 0.0] = 1.0
     partials = []
     while batch := list(islice(prefixes, max(1, per_batch))):
         P = np.asarray(batch, dtype=np.intp).reshape(len(batch), n - 2)
         last = P.max(axis=1, initial=-1)
         lo = int(last.min()) + 1
-        det, S = _eliminate(A.T[P].transpose(0, 2, 1))
+        det, S = _eliminate(A.T[P].transpose(0, 2, 1), scale)
         Y = S @ A[:, lo:]
         # a pair lies after its prefix: zero the columns up to max(P)
         done = np.arange(lo, m) <= last[:, None]

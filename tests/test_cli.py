@@ -152,6 +152,20 @@ class TestVolumeCommand:
             assert json.loads(out)["volume"] == pytest.approx(6.8557554350453069e31,
                                                               rel=1e-13)
 
+    def test_graded_direct_volume_matches_analytic(self, capsys, tmp_path):
+        # the fast mode's row once pivoted every prefix elimination, and the
+        # direct route printed 3.4487e33 for this 1.5118e21 volume
+        path = tmp_path / "graded.json"
+        path.write_text('{"A": [[1.1685, 0, 0], [0, 0.7255, 0], [0, 0, 0.6722]], '
+                        '"B": [[0.605], [8e-6], [7.8e-4]]}')
+        volumes = {}
+        for route in ("direct", "analytic"):
+            code, out, err = run(capsys, "volume", "--model", str(path), "--N", "412",
+                                 "--route", route)
+            assert (code, err) == (0, "")
+            volumes[route] = json.loads(out)["volume"]
+        assert abs(volumes["direct"] - volumes["analytic"]) <= 1e-12 * volumes["analytic"]
+
     @pytest.mark.parametrize("pair_sums,mode", [("_weighted_pair_sums", "discrete"),
                                                 ("_pair_sums", "narrow")])
     def test_negative_determinant_sum_exit_2(self, capsys, monkeypatch, tmp_path,

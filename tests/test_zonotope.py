@@ -272,6 +272,31 @@ def _krylov_systems(draw):
     return M, B, N
 
 
+# Graded diagonal systems (lambda, b, N) whose direct sums once went wrong,
+# and the unit-cube volume of [b, Ab, ..., A^(N-1) b] from a 60-digit
+# anchored sum over the exact powers of the float lambda.  Unscaled pivoting
+# eliminated with the fast-growing mode's row and swamped the small modes,
+# and an arctan2 angle order rounded long, nearly axis-parallel vectors.
+GRADED_ROWS = [
+    ((1.1685, 0.7255, 0.6722), (0.605, 8e-6, 7.8e-4), 412, 1.889761010547338107372221e20),
+    ((1.2693, -1.0798, 0.933), (0.605, 8e-6, 7.8e-4), 122, 9.929596113815191740265478e10),
+    ((1.05, -0.8, 1.3), (1.0, 1e-3, 1.0), 110, 1.656905795990464906058482e14),
+    ((1.01, -0.909, 1.111), (1.0, 1e-3, 1.0), 400, 8.246746715836454782404464e20),
+]
+
+
+class TestGradedGenerators:
+    @pytest.mark.parametrize("lam,b,N,ref", GRADED_ROWS)
+    def test_generic_and_anchored_sums_match_exact_powers(self, lam, b, N, ref):
+        lam, b = np.array(lam), np.array(b)
+        Z = b[:, None] * lam[:, None] ** np.arange(N)
+        generic = unit_cube_volume(Z)
+        anchored = unit_cube_volume(Z, krylov=(1, abs(np.prod(lam))))
+        assert abs(generic - ref) <= 1e-13 * ref
+        assert abs(anchored - ref) <= 1e-13 * ref
+        assert abs(generic - anchored) <= 1e-13 * ref
+
+
 class TestKrylovAnchoredSum:
     """unit_cube_volume with krylov=(r, |det A|) against the generic sum."""
 
@@ -331,13 +356,14 @@ class TestKrylovAnchoredSum:
         assert abs(full_volume(model, 90, "direct").volume - ref) <= 1e-14 * ref
 
     def test_negative_total_raises_on_both_paths(self, monkeypatch):
-        # the generic sum of these 600 generators cancels to -1.9e37
-        model = StateSpaceModel(np.diag([1.01, -0.909, 1.111]), [[1.0], [1e-3], [1.0]])
+        # pair sums that round negative stand in for a sum that cancels
+        Z = _lightly_damped_generators(3, 12, seed=1)
+        monkeypatch.setattr(zonotope, "_pair_sums", lambda Y: -np.ones(len(Y)))
         with pytest.raises(VolumeDomainError, match="cancelled to a negative total"):
-            unit_cube_volume(reachability_generators(model, 600))
+            unit_cube_volume(Z)
         monkeypatch.setattr(zonotope, "_weighted_pair_sums", lambda Y, w: -np.ones(len(Y)))
         with pytest.raises(VolumeDomainError, match="cancelled to a negative total"):
-            unit_cube_volume(_lightly_damped_generators(3, 12, seed=1), krylov=(1, 0.9))
+            unit_cube_volume(Z, krylov=(1, 0.9))
 
     def test_direct_routes_declare_the_structure(self, monkeypatch):
         # both callers look symmetric_volume up by its module-global name,
