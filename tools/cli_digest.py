@@ -8,10 +8,11 @@ from SRC_DIR, in this process, and prints one line per request:
 
     workload id exit sha256(stdout) sha256(stderr) value
 
-where value is the first volume the request reports, as %.17g: the
-``volume`` of a JSON report (of its first row for a sweep), the ``volume``
-column of the first CSV row (its first value when there is no such
-column), or ``-`` when there is none.  Two trees print the same lines
+where value is the first figure the request reports, as %.17g: the
+``volume`` of a JSON report (of its first row for a sweep), ``F1`` of a
+JSON factor report, the ``volume`` column of the first CSV row (the
+``side_length`` column of a CSV factor report, the first value when there
+is neither), or ``-`` when there is none.  Two trees print the same lines
 exactly when every request gives the same bytes and exit code on both;
 ``diff`` of two runs names the requests that changed, and the values give
 the size of each change.  The workload definitions are read from this
@@ -38,13 +39,15 @@ def _sha(text):
 def _first_value(out):
     try:
         doc = json.loads(out)
-        value = doc["volume"] if "volume" in doc else doc["rows"][0]["volume"]
+        key = next((k for k in ("volume", "F1") if k in doc), None)
+        value = doc[key] if key else doc["rows"][0]["volume"]
     except ValueError:  # not JSON: CSV
         lines = out.splitlines()
         if len(lines) < 2:
             return "-"
         header, row = lines[0].split(","), lines[1].split(",")
-        value = row[header.index("volume") if "volume" in header else 0]
+        column = next((c for c in ("volume", "side_length") if c in header), None)
+        value = row[header.index(column) if column else 0]
     except (KeyError, IndexError, TypeError):
         return "-"
     try:
