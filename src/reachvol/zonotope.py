@@ -87,17 +87,23 @@ def _fold(Y):
     return np.where(flip, -x, x), np.where(flip, -y, y)
 
 
+def _cotangent(x, y):
+    """x / |y| of folded vectors, whose descending order is the angle order of
+    both 2-D sums: it keeps full relative precision where the angle of a long,
+    nearly axis-parallel vector rounds.  y = +0 gives +inf, a zero vector nan."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x / np.abs(y)
+
+
 def _pair_sums(Y):
     """Sum of |det(y_j, y_k)| over the pairs j < k of each stack of 2-D vectors.
 
     Y has shape (..., 2, m).  Folded into the upper half-plane
     (:func:`_fold`) and sorted by angle, each det(y_j, y_k) with y_j before
     y_k is nonnegative, and the pair sum is sum_k det(y_1 + ... + y_(k-1), y_k).
-    The angle order is that of :func:`_weighted_pair_sums`, by the cotangent.
     """
     x, y = _fold(Y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        order = np.argsort(-(x / np.abs(y)), axis=-1)
+    order = np.argsort(-_cotangent(x, y), axis=-1)
     x = np.take_along_axis(x, order, axis=-1)
     y = np.take_along_axis(y, order, axis=-1)
     sx = np.cumsum(x, axis=-1)[..., :-1]
@@ -144,11 +150,7 @@ def _weighted_pair_sums(Y, w):
     V = np.stack([x, y], axis=1)
     P = np.zeros_like(V)
     np.cumsum(V[:, :, :-1], axis=-1, out=P[:, :, 1:])
-    # angle order is the descending order of the cotangent x / y, which
-    # keeps full relative precision where the angle of a long, nearly
-    # axis-parallel vector rounds; y = +0 gives +inf, a zero vector nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cot = x / np.abs(y)
+    cot = _cotangent(x, y)
     idx = np.arange(L)
     step = max(1, _CHUNK // (b * L))
     total = np.zeros(b)
