@@ -62,12 +62,13 @@ from .model import (
     SpectrumError,
     StateSpaceModel,
     UnboundedRegionError,
+    VolumeDomainError,
     _pair_index,
     _real_ascending,
     classify_spectrum,
     reachability_generators,
 )
-from .zonotope import symmetric_volume
+from .zonotope import _NonFiniteGenerators, symmetric_volume
 
 __all__ = [
     "DEFAULT_DPS",
@@ -917,13 +918,21 @@ def _ensure_model(system):
 def _direct_report(system, N, warnings=(), generators=None):
     """Exact determinant-sum report over the N generators `generators` builds,
     by default reachability_generators, looked up when called, whose Krylov
-    structure anchors the sum at the first block."""
+    structure anchors the sum at the first block.  Generators that overflow
+    raise VolumeDomainError."""
     model = _ensure_model(system)
-    if generators is None:
-        vol = symmetric_volume(reachability_generators(model, N),
-                               krylov=(model.r, abs(np.linalg.det(model.A))))
-    else:
-        vol = symmetric_volume(generators(model, N))
+    # an unstable A may overflow: symmetric_volume's check refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if generators is None:
+            Z = reachability_generators(model, N)
+            krylov = (model.r, abs(np.linalg.det(model.A)))
+        else:
+            Z, krylov = generators(model, N), None
+    try:
+        vol = symmetric_volume(Z, krylov=krylov)
+    except _NonFiniteGenerators:
+        raise VolumeDomainError(f"the generators of the N = {N} region overflow "
+                                f"double precision") from None
     return VolumeReport(volume=vol, route="direct", warnings=tuple(warnings))
 
 

@@ -415,24 +415,39 @@ _COMMANDS = {
 
 @cache
 def _build_parser():
+    """The top-level parser and, per subcommand, its own parser."""
     parser = _Parser(prog="reachvol",
                      description="Volumes of bounded-input reachable and "
                                  "controllable regions of linear systems.")
     parser.add_argument("--version", action="version", version=f"reachvol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (default_fmt, flags) in _COMMANDS.items():
         # no prefix matching: "bench --mode" must not be read as "--model"
-        p = sub.add_parser(name, allow_abbrev=False)
+        p = commands[name] = sub.add_parser(name, allow_abbrev=False)
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(default_format=default_fmt)
-    return parser
+    return parser, commands
+
+
+def _parse(argv):
+    """parser.parse_args(argv), with a subcommand's arguments parsed once, by
+    its own parser; the top-level parser takes the rest and reports leftovers."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.format is None:

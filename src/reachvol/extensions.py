@@ -51,7 +51,7 @@ from .model import (
     classify_spectrum,
     narrow_generators,
 )
-from .zonotope import determinant_count, symmetric_volume
+from .zonotope import _NonFiniteGenerators, determinant_count, symmetric_volume
 
 __all__ = [
     "ContinuousModel",
@@ -185,7 +185,7 @@ def ct_discretized_oracle(model, dt):
     continuous region volume at first order in dt.
 
     Raises ValueError when C(K, n) would exceed ORACLE_MAX_TERMS, with
-    advice to enlarge dt.
+    advice to enlarge dt, and VolumeDomainError when the generators overflow.
     """
     dt = float(dt)
     if not 0.0 < dt < model.T:
@@ -203,9 +203,14 @@ def ct_discretized_oracle(model, dt):
     W = model.eigen.left_vectors
     # column k in modal coordinates: exp(lambda k dt) * (W B_c dt)
     lam = model.eigen.eigenvalues
-    modal = np.exp(np.outer(lam, np.arange(K) * dt)) * (W @ model.B_c * dt)
-    # a Krylov matrix of exp(A_c dt), whose determinant is exp(dt * trace A_c)
-    return symmetric_volume(np.linalg.solve(W, modal), krylov=(1, math.exp(dt * lam.sum())))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        Z = np.linalg.solve(W, np.exp(np.outer(lam, np.arange(K) * dt)) * (W @ model.B_c * dt))
+    try:
+        # a Krylov matrix of exp(A_c dt), whose determinant is exp(dt * trace A_c)
+        return symmetric_volume(Z, krylov=(1, math.exp(dt * lam.sum())))
+    except _NonFiniteGenerators:
+        raise VolumeDomainError(f"the Riemann cover of the T = {model.T} region overflows "
+                                f"double precision") from None
 
 
 def narrow_via_relation(model, N, route="auto"):

@@ -134,9 +134,23 @@ class StateSpaceModel:
         return self.B.shape[1]
 
     @cached_property
+    def _diagonalized(self):
+        """diagonalize(self), or the refusal it raised."""
+        try:
+            return diagonalize(self)
+        except (SpectrumError, ValueError) as exc:
+            return exc
+
+    @property
     def eigen(self):
-        """diagonalize(self), once per model; a decomposition that raises is not cached."""
-        return diagonalize(self)
+        """diagonalize(self), decomposed once per model.  A refusal is cached
+        too: each access raises a new exception of its class, with its message."""
+        eig = self._diagonalized
+        if isinstance(eig, Exception):
+            exc = type(eig).__new__(type(eig), *eig.args)
+            exc.__dict__.update(vars(eig))
+            raise exc
+        return eig
 
 
 @dataclass(frozen=True)
@@ -240,7 +254,7 @@ def load_model(source):
     if not isinstance(data, dict):
         raise ValueError("model file must contain a JSON object")
     if "A" in data and "B" in data:
-        return StateSpaceModel(np.asarray(data["A"], float), np.asarray(data["B"], float))
+        return StateSpaceModel(data["A"], data["B"])
     if "lambda" in data and "beta" in data:
         return EigenStructure.from_spectrum(data["lambda"], data["beta"])
     raise ValueError('model object must have fields {"A","B"} or {"lambda","beta"}')

@@ -18,6 +18,12 @@ sum instead of an O(m log m) sort.  The direct discrete and
 continuous-time routes declare it; narrow generators (whose first block is
 their least accurate), ``reachvol check`` and the test references keep the
 generic sum as the independent reference.
+
+The generator matrix is checked once, where it enters through
+:func:`symmetric_volume` or :func:`unit_cube_volume`: a 2-D float array
+with finite entries, or ValueError.  A non-finite entry raises a private
+subclass, which the direct routes report as an overflowing region.  The
+kernels below take the matrix as checked.
 """
 
 import math
@@ -38,11 +44,16 @@ __all__ = [
 _CHUNK = 65536
 
 
+class _NonFiniteGenerators(ValueError):
+    """A generator matrix with an inf or nan entry."""
+
+
 def _as_generator_matrix(Z):
     """Validate and convert a generator matrix to a float ndarray.
 
     Accepts anything array-like with shape (n, m), n >= 1 and m >= 1.
-    Raises ValueError for empty shapes or non-finite entries.
+    Raises ValueError for empty shapes, _NonFiniteGenerators (a ValueError)
+    for non-finite entries.
     """
     A = np.asarray(Z, dtype=float)
     if A.ndim != 2:
@@ -50,8 +61,8 @@ def _as_generator_matrix(Z):
     n, m = A.shape
     if n < 1 or m < 1:
         raise ValueError(f"generator matrix must be at least 1x1, got {n}x{m}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("generator matrix has non-finite entries")
+    if not np.isfinite(A).all():
+        raise _NonFiniteGenerators("generator matrix has non-finite entries")
     return A
 
 
@@ -80,11 +91,12 @@ def determinant_count(m, n):
 
 
 def _fold(Y):
-    """x and y of each 2-D vector of Y (shape (..., 2, m)), each vector
-    turned into the upper half-plane: a sign flip leaves |det| unchanged."""
+    """Y (shape (..., 2, m)) with each 2-D vector turned into the upper
+    half-plane, (-x, -y) where y < 0, or y = 0 and x < 0: a sign flip
+    leaves |det| unchanged."""
     x, y = Y[..., 0, :], Y[..., 1, :]
-    flip = (y < 0) | ((y == 0) & (x < 0))
-    return np.where(flip, -x, x), np.where(flip, -y, y)
+    flip = np.where(y != 0, y, x) < 0
+    return np.where(flip[..., None, :], -Y, Y)
 
 
 def _cotangent(x, y):
@@ -102,7 +114,8 @@ def _pair_sums(Y):
     (:func:`_fold`) and sorted by angle, each det(y_j, y_k) with y_j before
     y_k is nonnegative, and the pair sum is sum_k det(y_1 + ... + y_(k-1), y_k).
     """
-    x, y = _fold(Y)
+    V = _fold(Y)
+    x, y = V[..., 0, :], V[..., 1, :]
     order = np.argsort(-_cotangent(x, y), axis=-1)
     x = np.take_along_axis(x, order, axis=-1)
     y = np.take_along_axis(y, order, axis=-1)
@@ -111,31 +124,33 @@ def _pair_sums(Y):
     return np.sum(sx * y[..., 1:] - sy * x[..., 1:], axis=-1)
 
 
-def _eliminate(G, scale):
+def _eliminate(G, tail):
     """Gaussian elimination with scaled partial pivoting of stacked n-by-k prefixes.
 
-    Row r's pivot candidate is |a_ri| / scale[r], with scale the largest
-    |entry| of each row of the whole generator matrix (1 for a zero row), so
-    the row of a fast-growing mode does not swamp the small modes' later
+    `tail` is [I | scale], scale the largest |entry| of each row of the
+    whole generator matrix (1 for a zero row), appended to every prefix so
+    that row swaps carry both.  Row r's pivot candidate is |a_ri| / scale[r],
+    so the row of a fast-growing mode does not swamp the small modes' later
     components.  Returns |det| of each prefix's k pivot rows and the 2-by-n
     map S that the same row operations apply to later columns: |det[G, x, y]|
     = |det| * |det(S x, S y)|.  A zero row of G is never a pivot and stays
     exact, so generators in a coordinate hyperplane give exactly zero.
     """
     b, n, k = G.shape
-    M = np.concatenate([G, np.broadcast_to(np.eye(n), (b, n, n))], axis=2)
-    s = np.repeat(scale[None, :], b, axis=0)
+    M = np.empty((b, n, k + n + 1))
+    M[:, :, :k] = G
+    M[:, :, k:] = tail
     rows = np.arange(b)
+    det = np.ones(b)  # the product of the pivots, in column order
     for i in range(k):
-        piv = i + np.argmax(np.abs(M[:, i:, i]) / s[:, i:], axis=1)
+        piv = i + (np.abs(M[:, i:, i]) / M[:, i:, -1]).argmax(axis=1)
         M[rows, piv], M[:, i] = M[:, i], M[rows, piv]
-        s[rows, piv], s[:, i] = s[:, i], s[rows, piv]
-        p = M[:, i, i]
+        p = M[:, i, i]  # row i is final from here on
+        det = det * p if i else p
         # a zero pivot means a zero column below it too: the prefix is flat
         lower = M[:, i + 1:, i] / np.where(p == 0.0, 1.0, p)[:, None]
-        M[:, i + 1:, i:] -= lower[:, :, None] * M[:, i, None, i:]
-    det = np.abs(np.prod(np.diagonal(M[:, :k, :k], axis1=1, axis2=2), axis=1))
-    return det, M[:, k:, k:]
+        M[:, i + 1:, i:-1] -= lower[:, :, None] * M[:, i, None, i:-1]
+    return np.abs(det), M[:, k:, k:-1]
 
 
 def _weighted_pair_sums(Y, w):
@@ -145,19 +160,22 @@ def _weighted_pair_sums(Y, w):
     the y_j with j < k and D_k those with an angle no larger than y_k's.
     The L-by-L masks are built a block of k at a time, of at most
     max(``_CHUNK``, b L) elements each."""
-    x, y = _fold(Y)
+    V = _fold(Y)
+    x, y = V[:, 0], V[:, 1]
     b, L = x.shape
-    V = np.stack([x, y], axis=1)
-    P = np.zeros_like(V)
-    np.cumsum(V[:, :, :-1], axis=-1, out=P[:, :, 1:])
+    P = np.zeros(V.shape)
+    V[:, :, :-1].cumsum(axis=-1, out=P[:, :, 1:])
     cot = _cotangent(x, y)
-    idx = np.arange(L)
-    step = max(1, _CHUNK // (b * L))
+    step = min(L, max(1, _CHUNK // (b * L)))
+    # every j before a block precedes all of its k; within it, j < k above
+    # the diagonal
+    idx = np.arange(step)
+    upper = idx[:, None] < idx
     total = np.zeros(b)
     for k0 in range(0, L, step):
         k1 = min(L, k0 + step)
         mask = cot[:, :k1, None] >= cot[:, None, k0:k1]
-        mask &= idx[:k1, None] < idx[k0:k1]
+        mask[:, k0:] &= upper[:k1 - k0, :k1 - k0]
         Q = 2.0 * (V[:, :, :k1] @ mask) - P[:, :, k0:k1]
         total += (Q[:, 0] * y[:, k0:k1] - Q[:, 1] * x[:, k0:k1]) @ w[k0:k1]
     return total
@@ -172,8 +190,9 @@ def _shift_weights(m, r, abs_det):
     if abs_det < 0:
         raise ValueError(f"krylov: |det A| must be >= 0, got {abs_det}")
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.cumsum(float(abs_det) ** np.arange(m // r))[::-1]
-    return np.repeat(w, r) if np.all(np.isfinite(w)) else None
+        w = (float(abs_det) ** np.arange(m // r)).cumsum()[::-1]
+    # w[0] sums every power, so it is finite exactly when all of them are
+    return w.repeat(r) if math.isfinite(w[0]) else None
 
 
 def unit_cube_volume(Z, *, krylov=None):
@@ -221,7 +240,11 @@ def unit_cube_volume(Z, *, krylov=None):
     VolumeDomainError
         When rounding cancels the sum to a negative total.
     """
-    A = _as_generator_matrix(Z)
+    return _unit_cube_volume(_as_generator_matrix(Z), krylov)
+
+
+def _unit_cube_volume(A, krylov):
+    """unit_cube_volume of a generator matrix _as_generator_matrix has checked."""
     n, m = A.shape
     if m < n:
         return 0.0
@@ -256,18 +279,21 @@ def _prefix_sum(A, prefixes, per_batch, w=None):
     per-column weights `w` if given, in batches of `per_batch` prefixes,
     with exact summation of the partials."""
     n, m = A.shape
-    scale = np.max(np.abs(A), axis=1)
+    tail = np.eye(n, n + 1)  # [I | scale] for _eliminate
+    scale = tail[:, n]
+    np.abs(A).max(axis=1, out=scale)
     scale[scale == 0.0] = 1.0
     partials = []
     while batch := list(islice(prefixes, max(1, per_batch))):
         P = np.asarray(batch, dtype=np.intp).reshape(len(batch), n - 2)
         last = P.max(axis=1, initial=-1)
         lo = int(last.min()) + 1
-        det, S = _eliminate(A.T[P].transpose(0, 2, 1), scale)
+        det, S = _eliminate(A.T[P].transpose(0, 2, 1), tail)
         Y = S @ A[:, lo:]
-        # a pair lies after its prefix: zero the columns up to max(P)
-        done = np.arange(lo, m) <= last[:, None]
-        Y = np.where(done[:, None, :], 0.0, Y)
+        if last.max() >= lo:
+            # a pair lies after its prefix: zero the columns up to max(P)
+            done = np.arange(lo, m) <= last[:, None]
+            Y = np.where(done[:, None, :], 0.0, Y)
         pairs = _pair_sums(Y) if w is None else _weighted_pair_sums(Y, w[lo:])
         partials.append(float(det @ pairs))
     return math.fsum(partials)
@@ -282,4 +308,4 @@ def symmetric_volume(Z, *, krylov=None):
     ||u||_inf <= 1 use this convention.
     """
     A = _as_generator_matrix(Z)
-    return float(2.0 ** A.shape[0]) * unit_cube_volume(A, krylov=krylov)
+    return float(2.0 ** A.shape[0]) * _unit_cube_volume(A, krylov)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import numpy as np
 
 from reachvol import zonotope
 from reachvol.analytic import full_volume
-from reachvol.cli import _COMMANDS, _report_json, _to_json, main
+from reachvol.cli import _COMMANDS, _build_parser, _parse, _report_json, _to_json, main
 from reachvol.model import EigenStructure
 from reachvol.zonotope import determinant_count
 
@@ -218,6 +219,35 @@ class TestReportWriter:
         assert _report_json(report) == self.recursive(report)
 
 
+# systems whose direct-route generators overflow double precision
+OVERFLOW_MODELS = {
+    "unstable": {"A": [[1e200, 0.0], [0.0, 2.0]], "B": [[1.0], [1.0]]},
+    "unstable-two-input": {"A": [[1e200, 0.0], [0.0, 2.0]], "B": [[1.0, 0.0], [1.0, 1.0]]},
+    "unstable-continuous": {"A": [[300.0, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]]},
+}
+
+
+@pytest.mark.parametrize("model,argv,horizon", [
+    ("unstable", ["volume", "--route", "direct", "--N", "5"], "N = 5"),
+    ("unstable-two-input", ["volume", "--N", "5"], "N = 5"),
+    ("unstable", ["sweep", "--route", "direct", "--N", "5"], "N = 3"),
+    ("unstable-continuous", ["volume", "--T", "5", "--mode", "continuous", "--route", "direct",
+                             "--dt", "0.5"], "T = 5.0"),
+], ids=["direct", "auto-two-input", "sweep-direct", "continuous-direct"])
+def test_overflowing_direct_volume_exit_2(capsys, tmp_path, model, argv, horizon):
+    # a domain error, in one stderr line that names the horizon, and no
+    # numpy warning on the way
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(OVERFLOW_MODELS[model]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv[0], "--model", str(path), *argv[1:])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (2, "")
+    assert err.startswith("reachvol: domain error: ") and err.count("\n") == 1
+    assert horizon in err and "overflow" in err
+
+
 class TestFactorsCommand:
     def test_infinite_factor_report(self, capsys, spectral_model):
         code, out, _ = run(capsys, "factors", "--model", spectral_model)
@@ -380,6 +410,36 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert f"error: unrecognized arguments: {' '.join(flag)}" in err
+
+    # argv that main hands to a subcommand's own parser or keeps for the
+    # top-level one; "M" stands for a model file
+    ARGV = {
+        "none": [], "version": ["--version"], "help": ["-h"], "volume-help": ["volume", "-h"],
+        "unknown-command": ["nope", "--N", "4"], "no-model": ["volume", "--N", "4"],
+        "unknown-flag": ["volume", "--model", "M", "--N", "4", "--bogus"],
+        "other-subcommand-flag": ["volume", "--model", "M", "--N", "4", "--seed", "1"],
+        "bad-choice": ["volume", "--model", "M", "--N", "4", "--route", "nope"],
+        "N-not-int": ["volume", "--model", "M", "--N", "x"],
+        "N-no-value": ["volume", "--model", "M", "--N"],
+        "N-equals": ["volume", "--model", "M", "--N=4"],
+        "N-twice": ["volume", "--model", "M", "--N", "4", "--N", "5"],
+        "stray-positional": ["volume", "--model", "M", "--N", "4", "stray"],
+        "abbreviation": ["volume", "--mod", "M", "--N", "4"],
+    }
+
+    @pytest.mark.parametrize("case", ARGV)
+    def test_argv_dispatch_matches_top_level_parser(self, capsys, diag_model, case):
+        # a refused argv gives the top-level parser's exit code and bytes; a
+        # valid one its namespace
+        argv = [diag_model if a == "M" else a for a in self.ARGV[case]]
+        parser, _ = _build_parser()
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit as exc:
+            want = (exc.code, *capsys.readouterr())
+            assert run(capsys, *argv) == want
+        else:
+            assert _parse(argv) == expected
 
     def test_readme_flag_table_matches_parser(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

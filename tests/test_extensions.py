@@ -28,6 +28,7 @@ from reachvol.model import (
     StateSpaceModel,
     VolumeDomainError,
     diagonalize,
+    load_model,
     narrow_generators,
     reachability_generators,
 )
@@ -352,6 +353,25 @@ def test_sweep_decomposes_and_tabulates_once(monkeypatch, tmp_path, capsys, mode
     assert counts["eig"] == counts["diagonalize"] == 1
     info = _dd_factor_table.cache_info()
     assert (info.misses, info.hits) == (1, top - 3)
+
+
+@pytest.mark.parametrize("A,B", [
+    ([[0.5, -0.4], [0.4, 0.5]], [[1.0], [0.5]]),
+    ([[0.5, 1.0], [0.0, 0.5]], [[1.0], [1.0]]),
+    ([[0.5, 0.1], [0.0, 0.7]], [[1.0, 0.0], [0.0, 1.0]]),
+], ids=["complex", "repeated", "two-input"])
+def test_refused_sweep_decomposes_once(monkeypatch, tmp_path, capsys, A, B):
+    # diagonalize refuses the model; the sweep asks for its decomposition
+    # once per row and once for the infinite horizon, and pays for one
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": A, "B": B}))
+    # each row on a model of its own, which shares no decomposition
+    expected = ["N,V_N,volume"] + [f"{N},nan,{cli._fmt(full_volume(load_model(path), N).volume)}"
+                                   for N in range(2, 22)]
+    counts = _count_spectral_work(monkeypatch)
+    assert cli.main(["sweep", "--model", str(path), "--N", "21"]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+    assert counts["diagonalize"] == 1
 
 
 class TestCtDiscretizedOracle:

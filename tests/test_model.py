@@ -1,6 +1,7 @@
 """Model handling: generators, diagonalization, classification, transforms."""
 
 import math
+import traceback
 
 import mpmath
 import numpy as np
@@ -65,15 +66,32 @@ class TestStateSpaceModel:
         assert len(calls) == 1
         np.testing.assert_array_equal(m.eigen.eigenvalues, diagonalize(m).eigenvalues)
 
-    def test_refused_decomposition_is_not_cached(self, monkeypatch):
-        m = StateSpaceModel([[0.0, -1.0], [1.0, 0.0]], [[1.0], [0.0]])
+    def test_refused_decomposition_is_cached(self, monkeypatch):
+        # complex, repeated, two-input: decomposed once; each access raises a
+        # new exception of the same class and message, so no traceback grows
         calls = []
         monkeypatch.setattr(model_module, "diagonalize",
                             lambda sys_: calls.append(sys_) or diagonalize(sys_))
-        for _ in range(2):
-            with pytest.raises(SpectrumError):
-                m.eigen
-        assert len(calls) == 2
+        for A, B, error in (([[0.0, -1.0], [1.0, 0.0]], [[1.0], [0.0]], SpectrumError),
+                            ([[0.5, 1.0], [0.0, 0.5]], [[1.0], [1.0]], SpectrumError),
+                            ([[0.5, 0.0], [0.0, 0.7]], [[1.0, 0.0], [0.0, 1.0]], ValueError)):
+            m = StateSpaceModel(A, B)
+            calls.clear()
+            raised = []
+            for _ in range(3):
+                with pytest.raises(error) as info:
+                    m.eigen
+                raised.append(info.value)
+            assert len(calls) == 1
+            with pytest.raises(error) as direct:
+                diagonalize(m)
+            for exc in raised:
+                assert type(exc) is type(direct.value)
+                assert str(exc) == str(direct.value)
+                assert vars(exc) == vars(direct.value)
+            assert len({id(exc) for exc in raised}) == 3
+            depths = {len(traceback.extract_tb(exc.__traceback__)) for exc in raised}
+            assert len(depths) == 1
 
 
 @st.composite

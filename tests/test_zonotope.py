@@ -142,8 +142,10 @@ class TestUnitCubeVolume:
         assert unit_cube_volume([[1.0], [2.0]]) == 0.0
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            unit_cube_volume([[1.0, np.nan]])
+        for volume in (unit_cube_volume, symmetric_volume):
+            for Z in ([[1.0, np.nan]], [[1.0, 2.0], [np.inf, 0.0]]):
+                with pytest.raises(ValueError, match="non-finite"):
+                    volume(Z)
 
     @pytest.mark.parametrize("n,m", [(1, 7), (2, 9), (3, 8), (4, 7), (5, 6)])
     def test_matches_reference_enumeration(self, n, m):
