@@ -33,13 +33,14 @@ spectrum and factor form, so a sweep builds it once, with the bits a fresh
 build gives.  The total is math.fsum over every word, the correctly rounded
 sum of the double-double terms (Ogita, Rump & Oishi), and cond comes from the
 same pass.  Below COND_DD = 1e13 that answer agrees with the 40-digit
-evaluation to the last bit.  Above it mpmath re-evaluates the tables at
-GUARD_DIGITS = 20 digits beyond log10(cond), at least 40, and again at what
-its own measured cond calls for, up to MAX_DPS = 100 digits; a sum that needs
-more is refused with a SpectrumError of class IllConditioned.  Every output
-field is rounded once, subnormals included.  The report's Precision record
-names the path, cond and digits.  The recursion needs no divisions and runs in
-ordinary doubles, vectorized over subset bitmasks (see
+evaluation to the last bit.  Above it the terms stay, as no term cancels, and
+mpmath re-sums only the total, from tables it builds in the same bitmask
+order, at GUARD_DIGITS = 20 digits beyond log10(cond), at least 40, and again
+at what its own measured cond calls for, up to MAX_DPS = 100 digits; a sum
+that needs more is refused with a SpectrumError of class IllConditioned.
+Every output field is rounded once, subnormals included.  The report's
+Precision record names the path, cond and digits.  The recursion needs no
+divisions and runs in ordinary doubles, vectorized over subset bitmasks (see
 :func:`recursive_volume_sum`).
 """
 
@@ -125,9 +126,9 @@ class SubsetTerm(NamedTuple):
 class Precision:
     """Which arithmetic answered a subset expansion.
 
-    path is "double-double" or "mpmath"; cond = sum|t| / |sum t| is the
-    cancellation measured on the terms; dps is the working precision in
-    significant digits (DD_DIGITS for double-double).
+    path is what summed the double-double terms, "double-double" or
+    "mpmath"; cond = sum|t| / |sum t| is the cancellation it measured, and
+    dps its working precision in digits (DD_DIGITS for double-double).
     """
 
     path: str
@@ -412,45 +413,6 @@ def _subsets(n):
             yield sub, sum(1 << j for j in sub)
 
 
-def _subset_tables(lam, horizon, mode):
-    """Sign, power and distribution-factor tables indexed by subset bitmask.
-
-    Each subset extends the prefix without its largest member j:
-    phi(S+j) = phi(S) * prod_{i in S} pair(i, j) / self(j) and
-    ups(S+j) = ups(S) * power(j), so all 2^n entries cost O(2^n n).
-    Values are mpmath numbers at the caller's working precision.  This is
-    the kernel's fallback for sums that cancel past double-double, and the
-    reference its double-double tables are tested against.
-    """
-    form, power = _EXPANSIONS[mode]
-    pair_den, self_den, absolute = _FACTOR_FORMS[form]
-    n = len(lam)
-    x = [mpf(float(v)) for v in lam]
-    pw = [power(v, horizon) for v in x]
-    selfs = [self_den(v) for v in x]
-    pair = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = (x[j] - x[i]) / pair_den(x[i], x[j])
-            pair[i][j] = abs(p) if absolute else p
-    sign = [1] * (1 << n)
-    ups = [mpf(1)] * (1 << n)
-    phi = [mpf(1)] * (1 << n)
-    for sub, mask in _subsets(n):
-        if not sub:
-            continue
-        j = sub[-1]
-        prev = mask ^ (1 << j)
-        p = phi[prev]
-        for i in sub[:-1]:
-            p *= pair[i][j]
-        phi[mask] = p / selfs[j]
-        ups[mask] = ups[prev] * pw[j]
-        # sign (-1)**((n+1)s - sum of 1-based members) gains (-1)**(n - j)
-        sign[mask] = sign[prev] if (n - j) % 2 == 0 else -sign[prev]
-    return sign, ups, phi
-
-
 @lru_cache(maxsize=8)
 def _subset_order(n):
     """Per n: the bitmasks in size-then-lex order, their 1-based subsets and
@@ -512,9 +474,9 @@ def _dd_round(hi, lo, ex):
     Scaling hi alone is exact unless the result is subnormal, where
     np.ldexp rounds hi to nearest, ties to even.  Only a tie can then
     differ from rounding hi + lo, and there the sign of lo decides.
-    Call with numpy's underflow and overflow warnings off.
     """
-    out = np.ldexp(hi, ex)
+    with np.errstate(under="ignore", over="ignore"):
+        out = np.ldexp(hi, ex)
     sub = np.flatnonzero(np.abs(out) < sys.float_info.min)
     if sub.size:
         hi, lo, ex, low = hi[sub], lo[sub], ex[sub], out[sub]
@@ -522,6 +484,14 @@ def _dd_round(hi, lo, ex):
         tie = (np.abs(d) == np.ldexp(1.0, -1075 - ex)) & (d * lo > 0.0)
         out[sub[tie]] += np.copysign(5e-324, d[tie])
     return out
+
+
+def _factor_scalars(x, form):
+    """1/self of each mpf in `x`, then the pair factors in _pair_index order,
+    absolute where the form says so, at mpmath's working precision."""
+    pair_den, self_den, absolute = _FACTOR_FORMS[form]
+    pairs = ((x[j] - x[i]) / pair_den(x[i], x[j]) for i, j in zip(*_pair_index(len(x))))
+    return [*(1 / self_den(v) for v in x), *(abs(p) if absolute else p for p in pairs)]
 
 
 @lru_cache(maxsize=8)
@@ -532,15 +502,11 @@ def _dd_factor_table(key, form):
 
     g[j, m] = 1/self(j) times pair(i, j) over the members i of m < 2^j, by
     one doubling per member i for every j > i at once."""
-    pair_den, self_den, absolute = _FACTOR_FORMS[form]
     lam = np.frombuffer(key)
     n = lam.size
     iu = _pair_index(n)
     with mp.workdps(DEFAULT_DPS):
-        x = [mpf(float(v)) for v in lam]
-        pairs = ((x[j] - x[i]) / pair_den(x[i], x[j]) for i, j in zip(*iu))
-        scalars = _dd_parts([*(1 / self_den(v) for v in x),
-                             *(abs(p) if absolute else p for p in pairs)])
+        scalars = _dd_parts(_factor_scalars([mpf(float(v)) for v in lam], form))
     ph, pl, pe = (np.zeros((n, n), dtype=w.dtype) for w in scalars)
     ph[iu], pl[iu], pe[iu] = (w[n:] for w in scalars)
     gh, gl, ge = (np.empty((n, 1 << (n - 1)), dtype=w.dtype) for w in scalars)
@@ -612,33 +578,28 @@ def _dd_expand(lam, horizon, mode):
     return out[:-1].reshape(4, -1), float(out[-1]), cond
 
 
-def _mp_float(v):
-    """An mpf rounded once to the nearest double.  float() rounds to 53 bits
-    and then again into the subnormal range; int division rounds once."""
-    f = float(v)
-    if abs(f) < sys.float_info.min and v:
-        man, exp = v.man_exp
-        return math.copysign(man / (1 << -exp), f)
-    return f
+def _mp_rows(g):
+    """_dd_rows in mpmath: the products over the members of every bitmask, a
+    mask with top bit j extending mask - 2^j by g[j], an mpf or an array
+    over the masks below 2^j."""
+    out = np.array([mpf(1)], dtype=object)
+    for gj in g:
+        out = np.concatenate([out, out * gj])
+    return out
 
 
-def _mp_expand(lam, horizon, mode, dps):
-    """The expansion at `dps` digits in mpmath: (terms, total, cancellation)."""
+def _mp_tables(lam, horizon, mode):
+    """Sign, power and distribution-factor tables indexed by subset bitmask,
+    the last two numpy arrays of mpf at the working precision, built by the
+    top-bit doubling of the double-double tables."""
+    form, power = _EXPANSIONS[mode]
     n = len(lam)
-    full = (1 << n) - 1
-    with mp.workdps(dps):
-        sign, ups, phi = _subset_tables(lam, horizon, mode)
-        terms = []
-        total = magnitude = mpf(0)
-        for sub, mask in _subsets(n):
-            val = sign[mask] * ups[mask] * phi[mask] * phi[full ^ mask]
-            total += val
-            magnitude += abs(val)
-            terms.append(SubsetTerm(tuple(j + 1 for j in sub), sign[mask],
-                                    _mp_float(ups[mask]), _mp_float(phi[mask]),
-                                    _mp_float(phi[full ^ mask]), _mp_float(val)))
-        cond = float(magnitude / abs(total)) if total else math.inf
-        return tuple(terms), _mp_float(total), cond
+    x = [mpf(float(v)) for v in lam]
+    scalars = _factor_scalars(x, form)
+    pair = np.empty((n, n), dtype=object)
+    pair[_pair_index(n)] = scalars[n:]
+    phi = _mp_rows([scalars[j] * _mp_rows(pair[:j, j]) for j in range(n)])
+    return _subset_order(n)[3], _mp_rows([power(v, horizon) for v in x]), phi
 
 
 def _digits_for(cond):
@@ -648,38 +609,47 @@ def _digits_for(cond):
     return max(DEFAULT_DPS, math.ceil(math.log10(max(cond, 1.0))) + GUARD_DIGITS)
 
 
-def _expand(lam, horizon, mode):
-    """The subset expansion: (terms, total, Precision) for a validated ascending
-    spectrum.
-
-    `mode` picks the power and the distribution factors (see _EXPANSIONS).
-    Terms come in size-then-lex order, each field rounded to float once.
-    Double-double answers when the measured cancellation is below COND_DD.
-    Otherwise mpmath re-evaluates at the digits that cancellation calls for
-    (at MAX_DPS where the double-double sum is noise), and again at the
-    digits its own measured cancellation calls for, up to MAX_DPS.  A sum
-    that needs more is refused with a SpectrumError.
-    """
-    n = len(lam)
-    fields, total, cond = _dd_expand(lam, horizon, mode)
-    if cond < COND_DD:
-        masks, subsets, signs = _subset_order(n)[:3]
-        terms = tuple(map(SubsetTerm, subsets, signs, *fields[:, masks].tolist()))
-        return terms, total, Precision("double-double", cond, DD_DIGITS)
+def _mp_total(lam, horizon, mode, cond):
+    """The expansion's total in mpmath, rounded once, and its Precision: at
+    the digits the double-double `cond` calls for, then at those its own
+    cancellation calls for, up to MAX_DPS; past that a SpectrumError."""
     # the double-double sum is good to about n^2 2^-100 of sum|t|: past that
     # its cond measures noise, and mpmath starts at the cap
-    dps = min(_digits_for(cond), MAX_DPS) if cond * n * n < 2.0 ** 100 else MAX_DPS
+    dps = min(_digits_for(cond), MAX_DPS) if cond * len(lam) ** 2 < 2.0 ** 100 else MAX_DPS
     while True:
-        terms, total, cond = _mp_expand(lam, horizon, mode, dps)
+        with mp.workdps(dps):
+            sign, ups, phi = _mp_tables(lam, horizon, mode)
+            # the complement of mask m is 2^n - 1 - m: the reversed table
+            terms = sign * ups * phi * phi[::-1]
+            total = mp.fsum(terms)
+            cond = float(mp.fsum(terms, absolute=True) / abs(total)) if total else math.inf
         need = _digits_for(cond)
         if need <= dps:
-            return terms, total, Precision("mpmath", cond, dps)
+            return float(_dd_round(*_dd_parts([total]))[0]), Precision("mpmath", cond, dps)
         if dps == MAX_DPS:
             raise SpectrumError(SpectrumClass.ILL_CONDITIONED,
                                 f"the subset expansion cancels by {cond:.3g} "
                                 f"(sum |t| / |sum t|) at {dps} digits, the cap of its "
                                 f"working precision")
         dps = min(need, MAX_DPS)
+
+
+def _expand(lam, horizon, mode):
+    """The subset expansion: (terms, total, Precision) for a validated ascending
+    spectrum.
+
+    `mode` picks the power and the distribution factors (see _EXPANSIONS).
+    Terms come from double-double in size-then-lex order, each field rounded
+    to float once.  Double-double sums them when the measured cancellation
+    is below COND_DD, and _mp_total otherwise.
+    """
+    fields, total, cond = _dd_expand(lam, horizon, mode)
+    precision = Precision("double-double", cond, DD_DIGITS)
+    if cond >= COND_DD:
+        total, precision = _mp_total(lam, horizon, mode, cond)
+    masks, subsets, signs = _subset_order(len(lam))[:3]
+    terms = tuple(map(SubsetTerm, subsets, signs, *fields[:, masks].tolist()))
+    return terms, total, precision
 
 
 def _expansion_input(lambdas, N, cls=None, what="the analytic expansion"):
@@ -741,36 +711,28 @@ def analytic_volume_sum_grouped(lambdas, N, form="factored"):
 
     form "complement" swaps each subset's sign and power factor for the
     complement's; form "factored" pulls the full-spectrum distribution
-    factor out and couples subset to complement through the cross factor.
-    Both are algebraic rearrangements of :func:`analytic_volume_sum` and
-    exist to cross-check the three printed forms against each other; the
-    cross factor is computed here on its own, since it is what the
-    factored form checks.
+    factor out and couples subset to complement through the cross factor,
+    the product over j in the subset and k outside it of
+    (1 - l_j l_k) / (l_hi - l_lo), each pair ordered by index.  Both are
+    algebraic rearrangements of :func:`analytic_volume_sum`, summed over the
+    kernel's mpmath tables at DEFAULT_DPS digits, that cross-check the three
+    printed forms against each other; the cross factor is computed here on
+    its own, since it is what the factored form checks.
     """
     if form not in ("complement", "factored"):
         raise ValueError(f"unknown form {form!r}")
     lam = _expansion_input(lambdas, N)
     n = lam.size
-    full = (1 << n) - 1
     with mp.workdps(DEFAULT_DPS):
-        sign, ups, phi = _subset_tables(lam, N, "discrete")
-        total = mpf(0)
+        sign, ups, phi = _mp_tables(lam, N, "discrete")
         if form == "complement":
-            for _, mask in _subsets(n):
-                comp = full ^ mask
-                total += sign[comp] * ups[comp] * phi[mask] * phi[comp]
-        else:
-            x = [mpf(float(v)) for v in lam]
-            for sub, mask in _subsets(n):
-                cross = mpf(1)
-                for j in sub:
-                    for k in range(n):
-                        if not mask >> k & 1:
-                            a, b = (j, k) if j < k else (k, j)
-                            cross *= (1 - x[j] * x[k]) / (x[b] - x[a])
-                total += sign[mask] * ups[mask] * cross
-            total *= phi[full]
-        return float(total)
+            return float(mp.fsum(sign[::-1] * ups[::-1] * phi * phi[::-1]))
+        x = [mpf(float(v)) for v in lam]
+        cross = np.array([mp.fprod((1 - x[j] * x[k]) / (x[max(j, k)] - x[min(j, k)])
+                                   for j in range(n) if mask >> j & 1
+                                   for k in range(n) if not mask >> k & 1)
+                          for mask in range(1 << n)], dtype=object)
+        return float(mp.fsum(sign * ups * cross) * phi[-1])
 
 
 def infinite_volume_sum(lambdas):

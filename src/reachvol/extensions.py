@@ -248,8 +248,20 @@ def volume(system, horizon, mode="discrete", route="auto", *, dt=None):
     "direct" route) for a spectrum that is not all negative, where the
     closed form is not the region's volume, and SpectrumError without `dt`.
     A missing horizon or dt, or a route the mode does not have (continuous
-    time has no recursion), raises ValueError.
+    time has no recursion), raises ValueError.  A volume beyond the double
+    range, on any route, raises VolumeDomainError, with numpy's overflow
+    warnings off on the way.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = _mode_report(system, horizon, mode, route, dt)
+    if not math.isfinite(report.volume):
+        at = f"{'T' if mode == 'continuous' else 'N'} = {math.inf if horizon is None else horizon}"
+        raise VolumeDomainError(f"the volume of the {at} region overflows double precision")
+    return report
+
+
+def _mode_report(system, horizon, mode, route, dt):
+    """volume() before its overflow check."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if mode not in MODES:

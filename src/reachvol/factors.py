@@ -5,10 +5,8 @@ control engineer can read separately: a shape factor measuring how evenly
 the poles are distributed (pairwise eigenvalue coupling), the side lengths
 of the circumscribed rhombohedron (per-mode horizon-dependent reach), and
 the modal controllability |q_i b| (how strongly the input drives each
-mode).  The cross factor couples an eigenvalue subset to its complement
-and is what regroups the subset expansion into its factored print.  The
-shape factor's pairwise denominators are those of the distribution-factor
-forms in :mod:`reachvol.model`.
+mode).  The shape factor's pairwise denominators are those of the
+distribution-factor forms in :mod:`reachvol.model`.
 """
 
 import math
@@ -22,7 +20,6 @@ from .model import (_FACTOR_FORMS, _MODE_FORMS, EPS_SING, SingularFactorError,
 __all__ = [
     "FactorReport",
     "shape_factor",
-    "cross_factor",
     "side_lengths",
     "modal_controllability",
     "build_factor_report",
@@ -95,41 +92,6 @@ def shape_factor(lambdas, mode="discrete"):
                         f"has a vanishing shape-factor denominator")
                 f1 *= pairs[a, b]
     return f1, pairs, (p_plus, p_minus)
-
-
-def cross_factor(subset, complement, lambdas):
-    """Coupling factor between an eigenvalue subset and its complement.
-
-    Product over all pairs (j in subset, k in complement) of
-    (1 - l_j l_k) / (l_hi - l_lo), with each pair oriented by ascending
-    index so that dist(subset) * dist(complement) = cross * dist(all):
-    exactly the factor that regroups the subset expansion into the
-    factored form.
-
-    Raises on overlapping index sets or a vanishing denominator.
-    """
-    lam = [float(x) for x in np.asarray(lambdas, dtype=float).ravel()]
-    n = len(lam)
-    sub = tuple(int(x) for x in subset)
-    comp = tuple(int(x) for x in complement)
-    for name, t in (("subset", sub), ("complement", comp)):
-        if any(k < 1 or k > n for k in t):
-            raise ValueError(f"{name} {t} has indices outside 1..{n}")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError(f"{name} {t} must be strictly increasing")
-    if set(sub) & set(comp):
-        raise ValueError(f"subset {sub} and complement {comp} overlap")
-    out = 1.0
-    for j in sub:
-        for k in comp:
-            lo, hi = (j, k) if j < k else (k, j)
-            den = lam[hi - 1] - lam[lo - 1]
-            num = 1.0 - lam[j - 1] * lam[k - 1]
-            if abs(den) < EPS_SING:
-                raise SingularFactorError(
-                    f"pair (lambda_{j}, lambda_{k}) has coincident eigenvalues")
-            out *= num / den
-    return out
 
 
 def side_lengths(eig, mode, horizon=None):

@@ -19,9 +19,10 @@ from reachvol.analytic import (
     MAX_DPS,
     SubsetTerm,
     _dd_factor_table,
+    _EXPANSIONS,
     _expand,
     _factor_product,
-    _subset_tables,
+    _subsets,
     analytic_volume_sum,
     analytic_volume_sum_grouped,
     analytic_volume_terms,
@@ -753,6 +754,45 @@ class TestKernelAccuracy:
         assert value == pytest.approx(float(ref), rel=1e-13)
 
 
+def _subset_tables(lam, horizon, mode):
+    """Sign, power and distribution-factor tables indexed by subset bitmask.
+
+    Each subset extends the prefix without its largest member j:
+    phi(S+j) = phi(S) * prod_{i in S} pair(i, j) / self(j) and
+    ups(S+j) = ups(S) * power(j), so all 2^n entries cost O(2^n n).
+    Values are mpmath numbers at the caller's working precision.  This is
+    the kernel's fallback for sums that cancel past double-double, and the
+    reference its double-double tables are tested against.
+    """
+    form, power = _EXPANSIONS[mode]
+    pair_den, self_den, absolute = _FACTOR_FORMS[form]
+    n = len(lam)
+    x = [mpf(float(v)) for v in lam]
+    pw = [power(v, horizon) for v in x]
+    selfs = [self_den(v) for v in x]
+    pair = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = (x[j] - x[i]) / pair_den(x[i], x[j])
+            pair[i][j] = abs(p) if absolute else p
+    sign = [1] * (1 << n)
+    ups = [mpf(1)] * (1 << n)
+    phi = [mpf(1)] * (1 << n)
+    for sub, mask in _subsets(n):
+        if not sub:
+            continue
+        j = sub[-1]
+        prev = mask ^ (1 << j)
+        p = phi[prev]
+        for i in sub[:-1]:
+            p *= pair[i][j]
+        phi[mask] = p / selfs[j]
+        ups[mask] = ups[prev] * pw[j]
+        # sign (-1)**((n+1)s - sum of 1-based members) gains (-1)**(n - j)
+        sign[mask] = sign[prev] if (n - j) % 2 == 0 else -sign[prev]
+    return sign, ups, phi
+
+
 def _exact_float(v):
     """The double nearest an mpf, by exact rational arithmetic (float() of an
     mpf rounds twice in the subnormal range)."""
@@ -779,16 +819,22 @@ def _bit_cases():
 
 class TestPrecisionPaths:
     def test_double_double_bit_equal_to_40_digits(self):
+        # every term, on both paths, and the double-double total equal the
+        # reference at 40 digits rounded once; an mpmath total equals it at
+        # the fallback's digits, and so do its terms
         dd = tiny = 0
-        for lam, horizon, mode in _bit_cases():
+        fallback = []
+        anchors = [(np.linspace(0.05, 0.95, n), n, "discrete") for n in (12, 14)]
+        for lam, horizon, mode in _bit_cases() + anchors:
             terms, total, precision = _expand(lam, horizon, mode)
             if precision.cond >= COND_DD:
-                assert precision.path == "mpmath"
-                continue
-            assert precision.path == "double-double"
-            dd += 1
+                assert precision.path == "mpmath" and precision.dps >= DEFAULT_DPS
+                fallback.append(mode)
+            else:
+                assert precision.path == "double-double"
+                dd += 1
             full = (1 << len(lam)) - 1
-            with mp.workdps(DEFAULT_DPS):
+            with mp.workdps(precision.dps if precision.path == "mpmath" else DEFAULT_DPS):
                 sign, ups, phi = _subset_tables(lam, horizon, mode)
                 masks = [sum(1 << (j - 1) for j in t.subset) for t in terms]
                 vals = [sign[m] * ups[m] * phi[m] * phi[full ^ m] for m in masks]
@@ -799,6 +845,8 @@ class TestPrecisionPaths:
             assert [tuple(t) for t in terms] == expected
             tiny += any(0.0 < t.power < 2.0 ** -969 for t in terms)
         assert dd >= 20 and tiny >= 2
+        assert len(fallback) >= 8
+        assert set(fallback) == {"discrete", "narrow", "continuous"}
 
     def test_warm_table_gives_the_cold_bits(self):
         for lam, horizon, mode in _bit_cases():

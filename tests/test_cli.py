@@ -11,7 +11,7 @@ import pytest
 import numpy as np
 
 from reachvol import zonotope
-from reachvol.analytic import full_volume
+from reachvol.analytic import ROUTES, full_volume
 from reachvol.cli import _COMMANDS, _build_parser, _parse, _report_json, _to_json, main
 from reachvol.model import EigenStructure
 from reachvol.zonotope import determinant_count
@@ -219,11 +219,14 @@ class TestReportWriter:
         assert _report_json(report) == self.recursive(report)
 
 
-# systems whose direct-route generators overflow double precision
+# systems whose direct-route generators overflow double precision, and one
+# whose generators fit but whose volume does not
 OVERFLOW_MODELS = {
     "unstable": {"A": [[1e200, 0.0], [0.0, 2.0]], "B": [[1.0], [1.0]]},
     "unstable-two-input": {"A": [[1e200, 0.0], [0.0, 2.0]], "B": [[1.0, 0.0], [1.0, 1.0]]},
     "unstable-continuous": {"A": [[300.0, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]]},
+    "huge-volume": {"A": [[1e20, 0.0, 0.0], [0.0, 1e19, 0.0], [0.0, 0.0, 1e18]],
+                    "B": [[1.0], [1.0], [1.0]]},
 }
 
 
@@ -233,10 +236,13 @@ OVERFLOW_MODELS = {
     ("unstable", ["sweep", "--route", "direct", "--N", "5"], "N = 3"),
     ("unstable-continuous", ["volume", "--T", "5", "--mode", "continuous", "--route", "direct",
                              "--dt", "0.5"], "T = 5.0"),
-], ids=["direct", "auto-two-input", "sweep-direct", "continuous-direct"])
+    *(("huge-volume", ["volume", "--route", route, "--N", "8"], "N = 8") for route in ROUTES),
+    ("huge-volume", ["sweep", "--N", "8"], "N = 8"),
+], ids=["direct", "auto-two-input", "sweep-direct", "continuous-direct",
+        *(f"huge-volume-{route}" for route in ROUTES), "huge-volume-sweep"])
 def test_overflowing_direct_volume_exit_2(capsys, tmp_path, model, argv, horizon):
     # a domain error, in one stderr line that names the horizon, and no
-    # numpy warning on the way
+    # numpy warning on the way; not a null volume on any route
     path = tmp_path / "model.json"
     path.write_text(json.dumps(OVERFLOW_MODELS[model]))
     with warnings.catch_warnings(record=True) as caught:

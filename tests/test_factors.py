@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from reachvol.analytic import analytic_volume_terms, full_volume
 from reachvol.factors import (
     build_factor_report,
-    cross_factor,
     modal_controllability,
     shape_factor,
     side_lengths,
@@ -90,34 +89,6 @@ class TestShapeFactor:
         a = shape_factor(lam)[0]
         b = shape_factor(np.asarray(lam))[0]
         assert a == b
-
-
-class TestCrossFactor:
-    def test_empty_subset(self):
-        assert cross_factor((), (1, 2), [0.3, 0.7]) == 1.0
-
-    def test_pair_by_hand(self):
-        assert cross_factor((1,), (2,), [0.3, 0.7]) == pytest.approx(
-            (1 - 0.21) / 0.4)
-
-    def test_regroups_distribution_factors(self):
-        # dist(sub) * dist(comp) = cross(sub, comp) * dist(all)
-        from reachvol.analytic import distribution_factor
-        lam = [0.2, 0.45, 0.8]
-        for sub, comp in (((1,), (2, 3)), ((2,), (1, 3)), ((1, 3), (2,)),
-                          ((), (1, 2, 3)), ((1, 2, 3), ())):
-            lhs = (distribution_factor([lam[j - 1] for j in sub])
-                   * distribution_factor([lam[j - 1] for j in comp]))
-            rhs = cross_factor(sub, comp, lam) * distribution_factor(lam)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            cross_factor((1, 2), (2, 3), [0.1, 0.2, 0.3])
-
-    def test_singular_denominator_rejected(self):
-        with pytest.raises(SingularFactorError):
-            cross_factor((1,), (2,), [0.5, 0.5])
 
 
 class TestSideLengths:

@@ -11,8 +11,8 @@ from SRC_DIR, in this process, and prints one line per request:
 
 Then it runs the invocations of ``EDGES`` (workload ``edge``), which no
 benchmark request reaches: usage errors and argv forms the parsers must
-treat alike, malformed model files, and systems whose direct-route
-generators overflow.  Their model files are written to the same temporary
+treat alike, malformed model files, systems whose direct-route
+generators overflow, and a system whose volume overflows on every route.  Their model files are written to the same temporary
 directory, which is the working directory while they run, so that the
 paths in their messages are the same on every run.
 
@@ -52,6 +52,8 @@ EDGE_MODELS = {
     "unstable.json": '{"A": [[1e200, 0], [0, 2]], "B": [[1], [1]]}',
     "unstable-two-input.json": '{"A": [[1e200, 0], [0, 2]], "B": [[1, 0], [1, 1]]}',
     "unstable-continuous.json": '{"A": [[300, 0], [0, -1]], "B": [[1], [1]]}',
+    "huge-volume.json": '{"A": [[1e20, 0, 0], [0, 1e19, 0], [0, 0, 1e18]], '
+                        '"B": [[1], [1], [1]]}',
 }
 VOLUME = ["volume", "--model", "model.json"]
 # edge invocations: id -> argv
@@ -80,6 +82,10 @@ EDGES = {
                               "--N", "5"],
     "overflow-continuous-direct": ["volume", "--model", "unstable-continuous.json", "--T", "5",
                                    "--mode", "continuous", "--route", "direct", "--dt", "0.5"],
+    **{f"overflow-volume-{route}": ["volume", "--model", "huge-volume.json", "--route", route,
+                                    "--N", "8"]
+       for route in ("auto", "analytic", "recursive", "direct")},
+    "overflow-volume-sweep": ["sweep", "--model", "huge-volume.json", "--N", "8"],
 }
 
 
