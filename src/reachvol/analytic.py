@@ -579,9 +579,8 @@ def _dd_expand(lam, horizon, mode):
 
 
 def _mp_rows(g):
-    """_dd_rows in mpmath: the products over the members of every bitmask, a
-    mask with top bit j extending mask - 2^j by g[j], an mpf or an array
-    over the masks below 2^j."""
+    """_dd_rows in mpmath, products over the members of every bitmask: a mask
+    with top bit j extends mask - 2^j by g[j], an mpf or an array over m < 2^j."""
     out = np.array([mpf(1)], dtype=object)
     for gj in g:
         out = np.concatenate([out, out * gj])
@@ -589,17 +588,18 @@ def _mp_rows(g):
 
 
 def _mp_tables(lam, horizon, mode):
-    """Sign, power and distribution-factor tables indexed by subset bitmask,
-    the last two numpy arrays of mpf at the working precision, built by the
-    top-bit doubling of the double-double tables."""
+    """Signed power and distribution-factor tables by subset bitmask, numpy
+    arrays of mpf built by the double-double tables' top-bit doubling.  The
+    sign, (-1)**(n - j) per 0-based member j, joins the powers."""
     form, power = _EXPANSIONS[mode]
     n = len(lam)
     x = [mpf(float(v)) for v in lam]
     scalars = _factor_scalars(x, form)
     pair = np.empty((n, n), dtype=object)
     pair[_pair_index(n)] = scalars[n:]
-    phi = _mp_rows([scalars[j] * _mp_rows(pair[:j, j]) for j in range(n)])
-    return _subset_order(n)[3], _mp_rows([power(v, horizon) for v in x]), phi
+    # array * mpf: mpf * array would format the whole array before numpy multiplies
+    phi = _mp_rows([_mp_rows(pair[:j, j]) * scalars[j] for j in range(n)])
+    return _mp_rows([(-1) ** (n - j) * power(v, horizon) for j, v in enumerate(x)]), phi
 
 
 def _digits_for(cond):
@@ -618,9 +618,9 @@ def _mp_total(lam, horizon, mode, cond):
     dps = min(_digits_for(cond), MAX_DPS) if cond * len(lam) ** 2 < 2.0 ** 100 else MAX_DPS
     while True:
         with mp.workdps(dps):
-            sign, ups, phi = _mp_tables(lam, horizon, mode)
+            ups, phi = _mp_tables(lam, horizon, mode)
             # the complement of mask m is 2^n - 1 - m: the reversed table
-            terms = sign * ups * phi * phi[::-1]
+            terms = ups * phi * phi[::-1]
             total = mp.fsum(terms)
             cond = float(mp.fsum(terms, absolute=True) / abs(total)) if total else math.inf
         need = _digits_for(cond)
@@ -724,15 +724,15 @@ def analytic_volume_sum_grouped(lambdas, N, form="factored"):
     lam = _expansion_input(lambdas, N)
     n = lam.size
     with mp.workdps(DEFAULT_DPS):
-        sign, ups, phi = _mp_tables(lam, N, "discrete")
+        ups, phi = _mp_tables(lam, N, "discrete")
         if form == "complement":
-            return float(mp.fsum(sign[::-1] * ups[::-1] * phi * phi[::-1]))
+            return float(mp.fsum(ups[::-1] * phi * phi[::-1]))
         x = [mpf(float(v)) for v in lam]
         cross = np.array([mp.fprod((1 - x[j] * x[k]) / (x[max(j, k)] - x[min(j, k)])
                                    for j in range(n) if mask >> j & 1
                                    for k in range(n) if not mask >> k & 1)
                           for mask in range(1 << n)], dtype=object)
-        return float(mp.fsum(sign * ups * cross) * phi[-1])
+        return float(mp.fsum(ups * cross) * phi[-1])
 
 
 def infinite_volume_sum(lambdas):

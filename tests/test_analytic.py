@@ -761,8 +761,8 @@ def _subset_tables(lam, horizon, mode):
     phi(S+j) = phi(S) * prod_{i in S} pair(i, j) / self(j) and
     ups(S+j) = ups(S) * power(j), so all 2^n entries cost O(2^n n).
     Values are mpmath numbers at the caller's working precision.  This is
-    the kernel's fallback for sums that cancel past double-double, and the
-    reference its double-double tables are tested against.
+    the size-then-lex reference the kernel's double-double terms and its
+    mpmath totals are tested against.
     """
     form, power = _EXPANSIONS[mode]
     pair_den, self_den, absolute = _FACTOR_FORMS[form]
