@@ -124,7 +124,7 @@ class SubsetTerm(NamedTuple):
 
 @dataclass(frozen=True)
 class Precision:
-    """Which arithmetic answered a subset expansion.
+    """Which arithmetic summed a subset expansion.
 
     path is what summed the double-double terms, "double-double" or
     "mpmath"; cond = sum|t| / |sum t| is the cancellation it measured, and
