@@ -13,6 +13,14 @@ the 2^n coordinate/gain prefactor) admits three routes:
   coefficient times a power factor times two distribution factors, with
   cost independent of N.
 
+One private route function answers every discrete-time region: the
+reachable region (:func:`full_volume` is its discrete row), the narrow
+region and the all-negative closed form of :mod:`reachvol.extensions`.  It
+decides once, for every row, the route and the horizon, the direct route
+and its generators, the flat region (r N < n: volume 0), the
+decomposition and the "auto" fallback, and the moduli of an all-negative
+spectrum.
+
 One private kernel evaluates the expansion for every route that uses it:
 the reachable region (powers lambda^N), the narrow region (lambda^-N) and
 continuous time (exp(lambda T)), which differ only in the power and in
@@ -57,16 +65,17 @@ from mpmath import mp, mpf
 from .model import (
     _FACTOR_FORMS,
     EPS_SING,
-    EigenStructure,
     SingularFactorError,
     SpectrumClass,
     SpectrumError,
     StateSpaceModel,
     UnboundedRegionError,
     VolumeDomainError,
+    _nonsingular_det,
     _pair_index,
     _real_ascending,
     classify_spectrum,
+    narrow_generators,
     reachability_generators,
 )
 from .zonotope import _NonFiniteGenerators, symmetric_volume
@@ -865,24 +874,12 @@ def substitution_identity_residuals(lambdas, i, j, *, members=None):
     return (r1, r2, r3)
 
 
-def _ensure_eigen(system):
-    if isinstance(system, EigenStructure):
-        return system
-    return system.eigen
-
-
-def _ensure_model(system):
-    if isinstance(system, StateSpaceModel):
-        return system
-    return system.to_model()
-
-
 def _direct_report(system, N, warnings=(), generators=None):
     """Exact determinant-sum report over the N generators `generators` builds,
     by default reachability_generators, looked up when called, whose Krylov
     structure anchors the sum at the first block.  Generators that overflow
     raise VolumeDomainError."""
-    model = _ensure_model(system)
+    model = system.to_model()
     # an unstable A may overflow: symmetric_volume's check refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         if generators is None:
@@ -898,30 +895,31 @@ def _direct_report(system, N, warnings=(), generators=None):
     return VolumeReport(volume=vol, route="direct", warnings=tuple(warnings))
 
 
-def _steps(N):
-    """The horizon N as an int, at least 1."""
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    return N
+def narrow_via_relation(model, N, route="auto"):
+    """Narrow-region volume through the inverse-system identity.
 
-
-def _flat_report(system, N, route):
-    """The report of a flat region, or None: fewer generators (r N) than
-    dimensions (n) span volume 0, whatever the spectrum."""
-    if system.r * N >= system.n:
-        return None
-    return VolumeReport(volume=0.0, route=route if route != "auto" else "analytic",
-                        normalized_sum=0.0, warnings=("N < n: flat region, volume 0",))
+    The narrow region of (A, B) is the image under A^-1 of the reachable
+    region of (A^-1, B), so its volume is |det A|^-1 times that reachable
+    volume; this routes the right-hand side through :func:`full_volume`
+    as an independent second route for narrow volumes.
+    """
+    det = _nonsingular_det(model)
+    inverse_model = StateSpaceModel(np.linalg.inv(model.A), model.B)
+    return full_volume(inverse_model, N, route).volume / det
 
 
 def full_volume(system, N=None, route="auto"):
     """Volume of the N-step (or infinite-horizon) reachable region.
 
+    The "discrete" row of the route function that also answers the narrow
+    region and the all-negative closed form of :mod:`reachvol.extensions`,
+    so the three decide each rule below in one place.
+
     Parameters
     ----------
     system : StateSpaceModel or EigenStructure
-    N : int, or None/inf for the infinite-horizon region
+    N : integer >= 1, or None/inf for the infinite-horizon region, which
+        only the eigenvalue routes answer
     route : one of ROUTES, {"auto", "direct", "recursive", "analytic"}
         Every route but "direct" reports a flat region (r N < n) as volume
         0 before any spectrum work, then diagonalizes and classifies once.
@@ -937,33 +935,71 @@ def full_volume(system, N=None, route="auto"):
         With the route actually used, diagnostics, and (analytic route)
         the subset-term breakdown.
     """
+    return _region_report(system, N, "discrete", route)
+
+
+def _region_report(system, N, mode, route):
+    """The one route function of every discrete-time region: `mode` is
+    "discrete" (:func:`full_volume`), "narrow" or "negative".
+
+    Narrow differs from discrete in its generators, in the recursion, which
+    goes through the inverse system, and in its expansion (inverse powers of
+    the spectrum, no moduli), whose every refusal "auto" answers with the
+    generator oracle.  Negative is the discrete row whose "auto" and
+    "analytic" both mean the closed form, which requires lambda_i < 0 for
+    all i and has no fallback; its direct and recursive routes are the
+    discrete ones.  A horizon that is not an integer >= 1 raises ValueError,
+    and so does None or inf outside the discrete row.
+    """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    if N is None or (isinstance(N, float) and math.isinf(N)):
+    if mode not in ("discrete", "narrow", "negative"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if N is None or N == math.inf:
+        if mode != "discrete":
+            raise ValueError(f"{mode} mode needs --N")
         if route in ("direct", "recursive"):
             raise ValueError(f"route {route!r} cannot evaluate an infinite horizon")
-        eig = _ensure_eigen(system)
+        eig = system.eigen
         cls = classify_spectrum(eig.eigenvalues, "discrete")
         phi = _infinite_sum(eig.eigenvalues, cls)
         return VolumeReport(volume=eig.volume_prefactor * abs(phi), route="infinite",
                             normalized_sum=phi, spectrum=cls)
-    N = _steps(N)
+    if N % 1:
+        raise ValueError(f"N must be an integer, got {N}")
+    N = int(N)
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    narrow = mode == "narrow"
+    generators = narrow_generators if narrow else None
     if route == "direct":
-        return _direct_report(system, N)
-    return _flat_report(system, N, route) or _eigen_report(system, N, route)
-
-
-def _eigen_report(system, N, route):
-    """full_volume on a route other than "direct", for a region that is not flat."""
+        return _direct_report(system, N, generators=generators)
+    if system.r * N < system.n:  # fewer generators than dimensions, whatever the spectrum
+        return VolumeReport(volume=0.0, route=route if route != "auto" else "analytic",
+                            normalized_sum=0.0, warnings=("N < n: flat region, volume 0",))
+    if narrow and route == "recursive":
+        return VolumeReport(volume=narrow_via_relation(system.to_model(), N, "recursive"),
+                            route="recursive")
+    if mode == "negative" and route == "auto":
+        route = "analytic"
     try:
-        eig = _ensure_eigen(system)
-    except (SpectrumError, ValueError) as exc:
+        eig = system.eigen
+        lam = eig.eigenvalues
+        if narrow:
+            if np.any(np.abs(lam) < EPS_SING):
+                raise VolumeDomainError("narrow region needs nonzero eigenvalues")
+            lam = _expansion_input(lam, N, what="the narrow-region expansion")
+            return _expansion_report(eig, lam, N, "narrow", SpectrumClass.ALL_POSITIVE_DISTINCT)
+    except (VolumeDomainError, ValueError) as exc:
         if route != "auto":
             raise
-        return _direct_report(system, N, (f"eigenvalue routes unavailable ({exc}); "
-                                          f"used direct route",))
-    lam = eig.eigenvalues
+        warning = ("analytic narrow route refused; used generator oracle" if narrow
+                   else f"eigenvalue routes unavailable ({exc}); used direct route")
+        return _direct_report(system, N, (warning,), generators)
     negative = bool(np.all(lam < 0.0))
+    if mode == "negative" and route == "analytic" and not negative:
+        raise SpectrumError(classify_spectrum(lam, "discrete"),
+                            "negative-spectrum route requires lambda_i < 0 for all i")
     work = np.sort(np.abs(lam)) if negative else lam
     cls = spectrum = classify_spectrum(work, "discrete")
     warnings = []

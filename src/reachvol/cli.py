@@ -23,8 +23,6 @@ import numpy as np
 from . import __version__
 from .analytic import (
     ROUTES,
-    _ensure_eigen,
-    _ensure_model,
     analytic_volume_sum,
     analytic_volume_sum_grouped,
     deletion_identity_residual,
@@ -179,7 +177,7 @@ def cmd_volume(args):
 
 def cmd_factors(args):
     system = _load(args.model)
-    eig = _ensure_eigen(system)
+    eig = system.eigen
     if args.mode == "continuous":
         if args.T is None:
             raise SystemExit(_fail(EXIT_USAGE, "continuous mode needs --T"))
@@ -254,7 +252,7 @@ def _median_time(fn, trials):
 
 def cmd_bench(args):
     system = _load(args.model)
-    model = _ensure_model(system)
+    model = system.to_model()
     lam = model.eigen.eigenvalues
     n = model.n
     trials = args.trials if args.trials is not None else 5

@@ -12,13 +12,15 @@ Three generalizations of the reachable-region volume expansion:
   matrix exponential over [0, T], the power factor becomes exp(sum l T),
   and the distribution factor uses pairwise sums and 1/lambda.
 
-The narrow and continuous-time closed forms are one call each to the
-subset-expansion kernel of :mod:`reachvol.analytic`; the all-negative one
-is the analytic route of :func:`reachvol.analytic.full_volume`.  Each has
-an independent brute-force check through the exact determinant sum: the
-narrow generators, the reachability generators, and a left-endpoint
-Riemann discretization of the integral region.  :func:`volume` is the one
-dispatcher over modes and routes that the CLI calls.
+The narrow and all-negative closed forms are rows of the one route
+function of :mod:`reachvol.analytic`, as :func:`reachvol.analytic.full_volume`
+is, and :func:`narrow_via_relation` lives there too.  This module holds
+continuous time, one call to the subset-expansion kernel, and
+:func:`volume`, the switch over modes that the CLI calls and that refuses
+a volume beyond the double range.  Each closed form has an independent
+brute-force check through the exact determinant sum: the narrow
+generators, the reachability generators, and a left-endpoint Riemann
+discretization of the integral region.
 """
 
 import math
@@ -28,28 +30,18 @@ from functools import cached_property
 import numpy as np
 
 from .analytic import (
-    ROUTES,
     VolumeReport,
-    _direct_report,
-    _eigen_report,
-    _ensure_eigen,
-    _ensure_model,
-    _expansion_input,
     _expansion_report,
-    _flat_report,
-    _steps,
-    full_volume,
+    _region_report,
+    narrow_via_relation,
 )
 from .model import (
-    EPS_SING,
     EigenStructure,
     SpectrumClass,
     SpectrumError,
     StateSpaceModel,
     VolumeDomainError,
-    _nonsingular_det,
     classify_spectrum,
-    narrow_generators,
 )
 from .zonotope import _NonFiniteGenerators, determinant_count, symmetric_volume
 
@@ -118,14 +110,10 @@ def narrow_volume_analytic(system, N):
     eigenvalue powers, reflecting that the narrow region is generated by
     A^-N B, ..., A^-1 B.  Requires a strictly positive distinct spectrum
     bounded away from 0 and 1.  The signed normalized sum is reported as
-    computed; the volume is its magnitude times the 2^n prefactor.
+    computed; the volume is its magnitude times the 2^n prefactor.  A flat
+    region (N < n) is volume 0, as on every route.
     """
-    eig = _ensure_eigen(system)
-    lam = eig.eigenvalues
-    if np.any(np.abs(lam) < EPS_SING):
-        raise VolumeDomainError("narrow region needs nonzero eigenvalues")
-    lam = _expansion_input(lam, int(N), what="the narrow-region expansion")
-    return _expansion_report(eig, lam, N, "narrow", SpectrumClass.ALL_POSITIVE_DISTINCT)
+    return _region_report(system, N, "narrow", "analytic")
 
 
 def negative_spectrum_volume(system, N):
@@ -136,15 +124,7 @@ def negative_spectrum_volume(system, N):
     generators differ from the model's by column signs only.  Subset
     indices in the term breakdown refer to that order.
     """
-    N = _steps(N)
-    if (flat := _flat_report(system, N, "analytic")) is not None:
-        return flat
-    eig = _ensure_eigen(system)
-    lam = eig.eigenvalues
-    if not np.all(lam < 0.0):
-        cls = classify_spectrum(lam, "discrete")
-        raise SpectrumError(cls, "negative-spectrum route requires lambda_i < 0 for all i")
-    return _eigen_report(eig, N, "analytic")
+    return _region_report(system, N, "negative", "analytic")
 
 
 def ct_volume_analytic(model):
@@ -213,19 +193,6 @@ def ct_discretized_oracle(model, dt):
                                 f"double precision") from None
 
 
-def narrow_via_relation(model, N, route="auto"):
-    """Narrow-region volume through the inverse-system identity.
-
-    The narrow region of (A, B) is the image under A^-1 of the reachable
-    region of (A^-1, B), so its volume is |det A|^-1 times that reachable
-    volume; this routes the right-hand side through :func:`full_volume`
-    as an independent second route for narrow volumes.
-    """
-    det = _nonsingular_det(model)
-    inverse_model = StateSpaceModel(np.linalg.inv(model.A), model.B)
-    return full_volume(inverse_model, N, route).volume / det
-
-
 def volume(system, horizon, mode="discrete", route="auto", *, dt=None):
     """Volume of one region, by mode and route: the dispatcher behind the CLI.
 
@@ -239,18 +206,15 @@ def volume(system, horizon, mode="discrete", route="auto", *, dt=None):
         an all-negative spectrum, continuous-time reachable region
     route : one of ROUTES, {"auto", "direct", "recursive", "analytic"}
 
-    In discrete time every route but "direct" reports a flat region
-    (r N < n) as volume 0 before any spectrum work.  Each volume
-    diagonalizes and classifies once, and "auto" has one fallback per mode:
-    discrete, that of :func:`full_volume`; narrow, the generator oracle
-    whenever the closed form refuses or the system cannot be diagonalized;
-    negative, none; continuous, the Riemann oracle with step `dt` (the
+    The discrete-time modes are rows of the route function of
+    :mod:`reachvol.analytic`, which decides their horizon, flat region and
+    "auto" fallback; "direct" on the infinite horizon is answered as "auto".
+    In continuous time "auto" takes the Riemann oracle with step `dt` (the
     "direct" route) for a spectrum that is not all negative, where the
-    closed form is not the region's volume, and SpectrumError without `dt`.
-    A missing horizon or dt, or a route the mode does not have (continuous
-    time has no recursion), raises ValueError.  A volume beyond the double
-    range, on any route, raises VolumeDomainError, with numpy's overflow
-    warnings off on the way.
+    closed form is not the region's volume, and SpectrumError without `dt`;
+    a missing T or dt, or the recursive route, raises ValueError.  A volume
+    beyond the double range, on any route, raises VolumeDomainError, with
+    numpy's overflow warnings off on the way.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         report = _mode_report(system, horizon, mode, route, dt)
@@ -262,54 +226,29 @@ def volume(system, horizon, mode="discrete", route="auto", *, dt=None):
 
 def _mode_report(system, horizon, mode, route, dt):
     """volume() before its overflow check."""
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "continuous":
-        if horizon is None:
-            raise ValueError("continuous mode needs --T")
-        model = _ensure_model(system)
-        cmodel = ContinuousModel(model.A, model.B, horizon)
-        if route == "recursive":
-            raise ValueError("no recursive route in continuous mode")
-        cls = cmodel.spectrum if route == "auto" else None
-        warnings = ()
-        if cls in (SpectrumClass.ALL_POSITIVE_DISTINCT, SpectrumClass.MIXED_SIGN):
-            # the closed form answers here, but not with the region's volume
-            if dt is None:
-                raise SpectrumError(cls, "the continuous-time closed form needs an "
-                                         "all-negative spectrum; a step --dt selects "
-                                         "the Riemann oracle")
-            warnings = (f"spectrum class {cls}: the closed form needs an all-negative "
-                        f"spectrum; used the Riemann oracle",)
-        elif route != "direct":
-            return ct_volume_analytic(cmodel)
-        if dt is None:
-            raise ValueError("direct continuous volumes need an explicit --dt")
-        return VolumeReport(volume=ct_discretized_oracle(cmodel, dt), route="direct",
-                            warnings=warnings)
-    if horizon is None:
-        if mode != "discrete":
-            raise ValueError(f"{mode} mode needs --N")
+    if mode != "continuous":
         # the infinite horizon has no direct route; auto answers it
-        return full_volume(system, None, "auto" if route == "direct" else route)
-    if mode == "discrete" or (mode == "negative" and route in ("direct", "recursive")):
-        return full_volume(system, horizon, route)
-    if mode == "negative":
-        return negative_spectrum_volume(system, horizon)
-    N = _steps(horizon)
-    if route == "direct":
-        return _direct_report(system, N, generators=narrow_generators)
-    if (flat := _flat_report(system, N, route)) is not None:
-        return flat
-    if route == "recursive":
-        vol = narrow_via_relation(_ensure_model(system), N, "recursive")
-        return VolumeReport(volume=vol, route="recursive")
-    try:
-        return narrow_volume_analytic(system, N)
-    except (SpectrumError, VolumeDomainError, ValueError):
-        if route == "analytic":
-            raise
-        return _direct_report(system, N, ("analytic narrow route refused; "
-                                          "used generator oracle",), narrow_generators)
+        return _region_report(system, horizon, mode,
+                              "auto" if horizon is None and route == "direct" else route)
+    if horizon is None:
+        raise ValueError("continuous mode needs --T")
+    model = system.to_model()
+    cmodel = ContinuousModel(model.A, model.B, horizon)
+    if route not in ("auto", "direct", "analytic"):
+        raise ValueError(f"no {route} route in continuous mode")
+    cls = cmodel.spectrum if route == "auto" else None
+    warnings = ()
+    if cls in (SpectrumClass.ALL_POSITIVE_DISTINCT, SpectrumClass.MIXED_SIGN):
+        # the closed form answers here, but not with the region's volume
+        if dt is None:
+            raise SpectrumError(cls, "the continuous-time closed form needs an "
+                                     "all-negative spectrum; a step --dt selects "
+                                     "the Riemann oracle")
+        warnings = (f"spectrum class {cls}: the closed form needs an all-negative "
+                    f"spectrum; used the Riemann oracle",)
+    elif route != "direct":
+        return ct_volume_analytic(cmodel)
+    if dt is None:
+        raise ValueError("direct continuous volumes need an explicit --dt")
+    return VolumeReport(volume=ct_discretized_oracle(cmodel, dt), route="direct",
+                        warnings=warnings)

@@ -152,6 +152,10 @@ class StateSpaceModel:
             raise exc
         return eig
 
+    def to_model(self):
+        """The model itself, as EigenStructure.to_model gives one."""
+        return self
+
 
 @dataclass(frozen=True)
 class EigenStructure:
@@ -209,6 +213,11 @@ class EigenStructure:
         return self.eigenvalues.size
 
     r = 1  # inputs: an eigenstructure describes a single-input model
+
+    @property
+    def eigen(self):
+        """The structure itself, as StateSpaceModel.eigen gives one."""
+        return self
 
     @property
     def det_inverse_abs(self):

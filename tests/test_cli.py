@@ -13,7 +13,8 @@ import numpy as np
 from reachvol import zonotope
 from reachvol.analytic import ROUTES, full_volume
 from reachvol.cli import _COMMANDS, _build_parser, _parse, _report_json, _to_json, main
-from reachvol.model import EigenStructure
+from reachvol.extensions import narrow_volume_analytic, negative_spectrum_volume
+from reachvol.model import EigenStructure, VolumeDomainError, load_model
 from reachvol.zonotope import determinant_count
 
 
@@ -607,6 +608,17 @@ reciprocal continuous analytic  T,dt  0  analytic  UNSTABLE
 """
 
 
+def _entry_point(mode, route, horizon):
+    """The public function that answers a cell without the CLI, or None: full_volume
+    on discrete cells but the infinite-horizon direct one (volume answers it as
+    auto), and the narrow and negative closed forms on the analytic route."""
+    if mode == "discrete" and (route, horizon) != ("direct", "-"):
+        return lambda system, N: full_volume(system, N, route)
+    if route == "analytic":
+        return {"narrow": narrow_volume_analytic, "negative": negative_spectrum_volume}.get(mode)
+    return None
+
+
 def _dispatch_cells():
     for line in DISPATCH_TABLE.strip().splitlines():
         model, mode, route, horizon, code, *rest = line.split()
@@ -639,3 +651,12 @@ class TestDispatchMatrix:
         else:
             assert out == ""
             assert err.startswith("reachvol: ")
+        entry = _entry_point(mode, route, horizon)
+        if entry is None:
+            return
+        system, N = load_model(str(path)), {"N5": 5, "N2": 2, "-": None}[horizon]
+        if code == 0:
+            assert _report_json(entry(system, N)) + "\n" == out
+        else:
+            with pytest.raises((ValueError, VolumeDomainError)):
+                entry(system, N)

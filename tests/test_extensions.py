@@ -283,12 +283,18 @@ class TestDispatchRules:
             assert rep.route == ("analytic" if route == "auto" else route)
             assert rep.warnings == ("N < n: flat region, volume 0",)
 
-    @pytest.mark.parametrize("mode", ["narrow", "negative"])
+    @pytest.mark.parametrize("mode", ["narrow", "negative", "discrete"])
     @pytest.mark.parametrize("route", ["auto", "analytic"])
     def test_nonpositive_horizon_is_refused_by_one_rule(self, mode, route):
+        # a fractional horizon is refused, not truncated; only discrete mode
+        # reads inf as the infinite horizon
+        refusals = [(0, r"N must be >= 1, got 0"), (5.5, r"N must be an integer, got 5\.5")]
+        if mode != "discrete":
+            refusals.append((math.inf, f"{mode} mode needs --N"))
         for lam in ([0.3, 0.6, 0.9], [-0.9, -0.6, -0.3], [0.5, 0.7, 2.0]):
-            with pytest.raises(ValueError, match=r"N must be >= 1, got 0"):
-                volume(EigenStructure.from_spectrum(lam), 0, mode, route)
+            for N, message in refusals:
+                with pytest.raises(ValueError, match=message):
+                    volume(EigenStructure.from_spectrum(lam), N, mode, route)
 
 
 def _count_spectral_work(monkeypatch):
